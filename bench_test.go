@@ -401,11 +401,10 @@ func BenchmarkLowerBoundBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkLPBackends ablates the dense-tableau simplex against the
+// BenchmarkLPBackends ablates the condensed-tableau simplex against the
 // revised simplex (sparse columns + explicit basis inverse) on the
-// max-min LP of a growing torus. The revised method's advantage grows
-// with instance size because the constraint matrix has O(1) nonzeros per
-// column.
+// max-min LP of a growing torus. The tableau is the faster of the two at
+// every size here (DESIGN.md records the numbers).
 func BenchmarkLPBackends(b *testing.B) {
 	for _, side := range []int{8, 12, 16} {
 		in, _ := gen.Torus([]int{side, side}, gen.LatticeOptions{})

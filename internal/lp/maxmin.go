@@ -51,10 +51,11 @@ func SolveMaxMin(in *mmlp.Instance) (MaxMinResult, error) {
 type Backend int8
 
 const (
-	// BackendDense is the full-tableau simplex (reference).
+	// BackendDense is the condensed-tableau simplex (reference).
 	BackendDense Backend = iota
 	// BackendRevised is the revised simplex with sparse columns and an
-	// explicit basis inverse; much faster on large sparse instances.
+	// explicit basis inverse, an independent second implementation; it is
+	// slower than BackendDense on every torus BenchmarkLPBackends measures.
 	BackendRevised
 )
 

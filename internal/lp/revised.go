@@ -6,12 +6,12 @@ import (
 )
 
 // SolveRevised solves the problem with the revised simplex method:
-// instead of carrying the full dense tableau (O(m·n) updated per pivot),
-// it maintains the basis inverse B⁻¹ (m×m) and works with the sparse
-// original columns. Pricing is O(Σ nnz) and a pivot is O(m²), which on
-// the sparse max-min LPs of this library (a handful of nonzeros per
-// column) is far cheaper than the dense tableau once instances grow —
-// see BenchmarkLPBackends.
+// instead of carrying a dense tableau (O(m·n) updated per pivot), it
+// maintains the basis inverse B⁻¹ (m×m) and works with the sparse
+// original columns. Pricing is O(Σ nnz) and a pivot is O(m²). On the
+// max-min LPs of BenchmarkLPBackends (tori up to 256 agents) it is
+// nevertheless slower than the condensed tableau, whose contiguous
+// row updates vectorise; it stays as an independent second solver.
 //
 // Semantics match Solve exactly: nonnegative variables, LE/GE/EQ rows,
 // two phases, Dantzig pricing with a Bland anti-cycling fallback. The

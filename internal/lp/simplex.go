@@ -1,8 +1,9 @@
 // Package lp is a self-contained linear-programming substrate built only
-// on the standard library. It provides a dense two-phase simplex solver
-// over float64 (with Dantzig pivoting and a Bland anti-cycling fallback)
-// and an exact twin over math/big rationals, plus front-ends for the
-// max-min LPs and packing LPs used throughout the paper.
+// on the standard library. It provides a two-phase simplex solver over
+// float64 on a condensed dense tableau (with Dantzig pivoting and a Bland
+// anti-cycling fallback) and an exact twin over math/big rationals, plus
+// front-ends for the max-min LPs and packing LPs used throughout the
+// paper.
 //
 // All variables are implicitly nonnegative; this matches every program in
 // the paper (x ≥ 0, and the auxiliary objective value ω of a max-min LP is
@@ -81,7 +82,7 @@ type Solution struct {
 	Value  float64   // objective value, valid when Status == Optimal
 	Pivots int       // total simplex pivots performed
 
-	// Lazy dual sources: the dense simplex defers dual extraction to the
+	// Lazy dual sources: the tableau simplex defers dual extraction to the
 	// first Duals call (dws + the generation it solved in), the revised
 	// simplex installs a closure. Nil for non-optimal solutions.
 	dws    *Workspace
@@ -93,7 +94,7 @@ type Solution struct {
 // Duals returns one multiplier per constraint, valid when Status ==
 // Optimal and nil otherwise. The multipliers are computed on demand from
 // the final tableau — no hot-path caller reads them, so solves do not pay
-// for the extraction. For dense-simplex solutions obtained through a
+// for the extraction. For tableau-simplex solutions obtained through a
 // reused Workspace, Duals must be called before the next solve on that
 // workspace (a stale read panics). The flip side of laziness: a retained
 // Solution keeps its solver state (the workspace tableau or the revised
@@ -145,12 +146,15 @@ func SolveWithRule(p *Problem, rule PivotRule) (Solution, error) {
 
 var errUnbounded = errors.New("lp: unbounded")
 
-// tableau is the dense simplex tableau. Columns are laid out as
-// [0, nVars) original variables, [nVars, nVars+nSlack) slack/surplus
-// variables, [artStart, nCols) artificial variables; rhs is stored
-// separately. rows[r] has length nCols and points into the flat arena.
-// basis[r] is the column basic in row r. obj is the current reduced-cost
-// row (length nCols) and objRHS the current objective value.
+// tableau is the condensed simplex tableau: it stores only the nonbasic
+// columns. Column indices keep the full layout — [0, nVars) original
+// variables, [nVars, artStart) slack/surplus variables, [artStart, nCols)
+// artificial variables — but rows[r] holds one entry per slot, and
+// slotCol[k] is the nonbasic column stored in slot k. A basic column is
+// implicit: basis[r]'s column is the unit vector e_r with reduced cost 0.
+// A pivot hands the entering column's slot to the leaving column, so the
+// width nCols − m never changes. rhs is stored separately; obj is the
+// reduced-cost row (one entry per slot) and objRHS the objective value.
 //
 // All backing arrays are owned by the tableau and recycled by reset, so
 // a long-lived Workspace reaches a steady state with no per-solve
@@ -161,16 +165,18 @@ type tableau struct {
 	artStart int
 	nCols    int
 
-	arena  []float64 // m rows of stride nCols; rows[r] points into it
-	rows   [][]float64
-	rhs    []float64
-	basis  []int
-	inBase []bool // per column: whether it is basic in some row
-	obj    []float64
-	objRHS float64
+	arena   []float64 // m rows of stride len(slotCol); rows[r] points into it
+	rows    [][]float64
+	rhs     []float64
+	basis   []int
+	slotCol []int
+	obj     []float64
+	objRHS  float64
 
-	costBuf    []float64 // scratch cost vector for the phase objectives
-	supportBuf []int32   // scratch nonzero-column list of the pivot row
+	costBuf  []float64 // scratch cost vector (per column) for the phase objectives
+	candBuf  []int     // scratch row list of the ratio test
+	fBuf     []float64 // scratch per-row elimination factors of a pivot
+	ratioBuf []float64 // scratch ratios of the ratio test
 
 	needPhase1 bool
 	inPhase2   bool
@@ -178,8 +184,8 @@ type tableau struct {
 
 // reset sizes the tableau for a problem with nVars variables, m rows,
 // nSlack slacks and nArt artificials, reusing every backing array whose
-// capacity suffices. Row contents are garbage after reset; buildTableau
-// overwrites them completely.
+// capacity suffices. Row contents and slotCol are garbage after reset;
+// buildTableau overwrites them completely.
 func (t *tableau) reset(nVars, m, nSlack, nArt int) {
 	t.nVars = nVars
 	t.nSlack = nSlack
@@ -188,20 +194,20 @@ func (t *tableau) reset(nVars, m, nSlack, nArt int) {
 	t.needPhase1 = nArt > 0
 	t.inPhase2 = false
 	t.objRHS = 0
-	t.arena = growFloats(t.arena, m*t.nCols)
+	width := t.nCols - m // every row has exactly one basic column
+	t.arena = growFloats(t.arena, m*width)
 	t.rows = growRowHdrs(t.rows, m)
 	for r := 0; r < m; r++ {
-		t.rows[r] = t.arena[r*t.nCols : (r+1)*t.nCols]
+		t.rows[r] = t.arena[r*width : (r+1)*width]
 	}
 	t.rhs = growFloats(t.rhs, m)
 	t.basis = growInts(t.basis, m)
-	t.inBase = growBools(t.inBase, t.nCols)
-	clear(t.inBase)
-	t.obj = growFloats(t.obj, t.nCols)
+	t.slotCol = growInts(t.slotCol, width)
+	t.obj = growFloats(t.obj, width)
 	t.costBuf = growFloats(t.costBuf, t.nCols)
-	if cap(t.supportBuf) < t.nCols {
-		t.supportBuf = make([]int32, 0, t.nCols)
-	}
+	t.candBuf = growInts(t.candBuf, m)
+	t.fBuf = growFloats(t.fBuf, m)
+	t.ratioBuf = growFloats(t.ratioBuf, m)
 }
 
 // setPhase1Objective installs "maximise −Σ artificials" as the reduced-cost
@@ -217,8 +223,9 @@ func (t *tableau) setPhase1Objective() {
 }
 
 // setPhase2Objective installs the real objective, priced out against the
-// current basis. Artificial columns are barred from entering by forcing
-// their reduced costs to a large negative value.
+// current basis. Artificial columns are barred from entering in phase 2
+// (see chooseEntering) but keep their reduced costs, which carry the
+// multipliers of EQ rows.
 func (t *tableau) setPhase2Objective(obj []float64, minimize bool) {
 	costs := t.costBuf
 	clear(costs)
@@ -233,20 +240,19 @@ func (t *tableau) setPhase2Objective(obj []float64, minimize bool) {
 	t.inPhase2 = true
 }
 
-// priceOut sets obj[j] = costs[j] − Σ_r costs[basis[r]]·rows[r][j] and
-// objRHS = Σ_r costs[basis[r]]·rhs[r].
+// priceOut sets obj[k] = costs[slotCol[k]] − Σ_r costs[basis[r]]·rows[r][k]
+// and objRHS = Σ_r costs[basis[r]]·rhs[r].
 func (t *tableau) priceOut(costs []float64) {
-	copy(t.obj, costs)
+	for k, c := range t.slotCol {
+		t.obj[k] = costs[c]
+	}
 	t.objRHS = 0
 	for r, b := range t.basis {
 		cb := costs[b]
 		if cb == 0 {
 			continue
 		}
-		row := t.rows[r]
-		for j := range t.obj {
-			t.obj[j] -= cb * row[j]
-		}
+		subScaled(t.obj, t.rows[r], cb)
 		t.objRHS += cb * t.rhs[r]
 	}
 }
@@ -284,127 +290,107 @@ func (t *tableau) iterate(rule PivotRule, pivots *int) error {
 
 func dantzigBudget(m, n int) int { return 50 * (m + n + 10) }
 
+// chooseEntering returns the slot of the entering column, or -1 at
+// optimality. Slots are not in column order, so ties are broken by the
+// smaller column index: the result is the column a scan in column order
+// would pick — Dantzig's first maximal reduced cost, or Bland's smallest
+// eligible index.
 func (t *tableau) chooseEntering(bland bool) int {
-	limit := t.nCols
-	if t.inPhase2 {
-		limit = t.artStart // artificials may not re-enter in phase 2
-	}
-	if bland {
-		for j := 0; j < limit; j++ {
-			if t.obj[j] > epsReduced && !t.isBasic(j) {
-				return j
-			}
+	best, bestCol, bestVal := -1, 0, epsReduced
+	for k, v := range t.obj {
+		c := t.slotCol[k]
+		if t.inPhase2 && c >= t.artStart {
+			continue // artificials may not re-enter in phase 2
 		}
-		return -1
-	}
-	best, bestVal := -1, epsReduced
-	for j := 0; j < limit; j++ {
-		if t.obj[j] > bestVal && !t.isBasic(j) {
-			best, bestVal = j, t.obj[j]
+		if bland {
+			if v > epsReduced && (best < 0 || c < bestCol) {
+				best, bestCol = k, c
+			}
+		} else if v > bestVal || (best >= 0 && v == bestVal && c < bestCol) {
+			best, bestCol, bestVal = k, c, v
 		}
 	}
 	return best
 }
 
-// isBasic reports whether column j is basic, from the maintained
-// membership mask (the historical linear scan over basis, made O(1);
-// the answers — and hence the pivot sequence — are unchanged).
-func (t *tableau) isBasic(j int) bool { return t.inBase[j] }
-
+// chooseLeaving runs the ratio test on the column in slot enter. It
+// lists the rows with a usable pivot entry without branching on the
+// entries, divides for all of them in one pass so the divisions overlap,
+// then scans the list in row order: the same comparisons as a scan over
+// every row, without a mispredicted branch per ineligible row or a
+// comparison stalled on each division.
 func (t *tableau) chooseLeaving(enter int, bland bool) int {
-	best := -1
-	var bestRatio float64
-	for r := range t.rows {
-		a := t.rows[r][enter]
-		if a <= epsPivot {
-			continue
+	cand := t.candBuf[:len(t.rows)]
+	n := 0
+	for r, row := range t.rows {
+		cand[n] = r
+		if row[enter] > epsPivot {
+			n++
 		}
-		ratio := t.rhs[r] / a
+	}
+	ratios := t.ratioBuf[:n]
+	for i, r := range cand[:n] {
+		ratios[i] = t.rhs[r] / t.rows[r][enter]
+	}
+	best := -1
+	var bestRatio, bestA float64
+	for i, r := range cand[:n] {
+		a, ratio := t.rows[r][enter], ratios[i]
 		switch {
 		case best < 0, ratio < bestRatio-epsPivot:
-			best, bestRatio = r, ratio
+			best, bestRatio, bestA = r, ratio, a
 		case ratio < bestRatio+epsPivot:
 			// Tie: Bland breaks by smallest basic index; Dantzig by largest
 			// pivot element for stability.
 			if bland {
 				if t.basis[r] < t.basis[best] {
-					best, bestRatio = r, ratio
+					best, bestRatio, bestA = r, ratio, a
 				}
-			} else if a > t.rows[best][enter] {
-				best, bestRatio = r, ratio
+			} else if a > bestA {
+				best, bestRatio, bestA = r, ratio, a
 			}
 		}
 	}
 	return best
 }
 
+// pivot makes the column in slot enter basic in row r. The leaving
+// column basis[r] takes over the slot: its implicit unit column e_r
+// becomes 1·inv in the pivot row and 0 − f·inv in every other row,
+// which the uniform update below produces once the slot is preset to 1
+// in the pivot row and to 0 elsewhere. Every other entry gets the
+// textbook row[k] *= inv; other[k] −= f·row[k].
 func (t *tableau) pivot(r, enter int) {
 	row := t.rows[r]
 	inv := 1 / row[enter]
-	for j := range row {
-		row[j] *= inv
+	row[enter] = 1
+	for k := range row {
+		row[k] *= inv
 	}
-	row[enter] = 1 // exact
 	t.rhs[r] *= inv
-	// Eliminate only over the pivot row's nonzero columns. Zeros in the
-	// tableau are exactly +0.0 (buildTableau normalises the sign, and
-	// x − y = −0.0 only when x is already −0.0), so for a skipped column
-	// the historical update was other[j] −= f·(+0.0), which leaves
-	// other[j] bit-identical — the elimination result is exactly the
-	// dense loop's, at the cost of the row's support instead of nCols.
-	support := t.supportBuf[:0]
-	for j, v := range row {
-		if v != 0 {
-			support = append(support, int32(j))
-		}
-	}
-	t.supportBuf = support
-	// Indirect gathers cost ~2× a contiguous sweep per element, so once
-	// fill-in makes the pivot row dense the full loop is faster; it is
-	// equally exact (it only adds the other[j] −= f·(+0.0) no-ops the
-	// support loop skips).
-	dense := 2*len(support) > t.nCols
-	for rr := range t.rows {
-		if rr == r {
-			continue
-		}
-		other := t.rows[rr]
+	fs := t.fBuf[:len(t.rows)]
+	for rr, other := range t.rows {
 		f := other[enter]
+		if rr == r {
+			f = 0
+		}
+		fs[rr] = f
 		if f == 0 {
 			continue
 		}
-		if dense {
-			for j := range other {
-				other[j] -= f * row[j]
-			}
-		} else {
-			for _, j := range support {
-				other[j] -= f * row[j]
-			}
-		}
-		other[enter] = 0 // exact
+		other[enter] = 0
 		t.rhs[rr] -= f * t.rhs[r]
 		if t.rhs[rr] < 0 && t.rhs[rr] > -epsPivot {
 			t.rhs[rr] = 0
 		}
 	}
-	f := t.obj[enter]
-	if f != 0 {
-		if dense {
-			for j := range t.obj {
-				t.obj[j] -= f * row[j]
-			}
-		} else {
-			for _, j := range support {
-				t.obj[j] -= f * row[j]
-			}
-		}
+	eliminate(t.rows, fs, row)
+	if f := t.obj[enter]; f != 0 {
 		t.obj[enter] = 0
+		subScaled(t.obj, row, f)
 		t.objRHS += f * t.rhs[r]
 	}
-	t.inBase[t.basis[r]] = false
-	t.inBase[enter] = true
-	t.basis[r] = enter
+	t.basis[r], t.slotCol[enter] = t.slotCol[enter], t.basis[r]
 }
 
 // expelArtificials pivots basic artificial variables (at value 0 after a
@@ -414,20 +400,21 @@ func (t *tableau) expelArtificials() error {
 		if t.basis[r] < t.artStart {
 			continue
 		}
-		// Find any real column with a usable pivot in this row.
-		found := -1
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(t.rows[r][j]) > epsPivot {
-				found = j
-				break
+		// Pivot on the real column of smallest index with a usable entry
+		// in this row (basic columns are zero off their own row).
+		found, foundCol := -1, t.artStart
+		for k, c := range t.slotCol {
+			if c < foundCol && math.Abs(t.rows[r][k]) > epsPivot {
+				found, foundCol = k, c
 			}
 		}
 		if found >= 0 {
 			t.pivot(r, found)
 			continue
 		}
-		// Row is redundant: remove it (its basic artificial leaves too).
-		t.inBase[t.basis[r]] = false
+		// Row is redundant: remove it. Its artificial leaves the basis
+		// without taking a slot: the column is zero in every remaining row,
+		// may not enter in phase 2, and its phase-2 reduced cost is +0.
 		last := len(t.rows) - 1
 		t.rows[r], t.rows[last] = t.rows[last], t.rows[r]
 		t.rhs[r], t.rhs[last] = t.rhs[last], t.rhs[r]

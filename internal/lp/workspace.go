@@ -260,10 +260,17 @@ func (w *Workspace) buildTableau() {
 		w.plans[r] = pl
 	}
 
+	// The initially nonbasic columns fill the slots in column order: the
+	// original variables, then the surplus column of each GE row (its
+	// artificial is basic). LE slacks and artificials start basic.
 	t := &w.t
 	t.reset(n, m, nSlack, nArt)
+	for j := 0; j < n; j++ {
+		t.slotCol[j] = j
+	}
 	slack := n
 	art := t.artStart
+	surplus := n
 	for r := 0; r < m; r++ {
 		row := t.rows[r]
 		staged := w.rowArena[r*n : (r+1)*n]
@@ -272,31 +279,25 @@ func (w *Workspace) buildTableau() {
 			sign = -1
 		}
 		for j, a := range staged {
-			v := sign * a
-			if v == 0 {
-				v = 0 // normalise −0.0: tableau zeros are always +0.0
-			}
-			row[j] = v
+			row[j] = sign * a
 		}
 		clear(row[n:])
 		t.rhs[r] = sign * w.rhsIn[r]
 		switch w.plans[r].rel {
 		case LE:
-			row[slack] = 1
 			t.basis[r] = slack
 			slack++
 		case GE:
-			row[slack] = -1
+			row[surplus] = -1
+			t.slotCol[surplus] = slack
+			surplus++
 			slack++
-			row[art] = 1
 			t.basis[r] = art
 			art++
 		case EQ:
-			row[art] = 1
 			t.basis[r] = art
 			art++
 		}
-		t.inBase[t.basis[r]] = true
 	}
 }
 
@@ -329,6 +330,13 @@ func (w *Workspace) dualsFromTableau(gen uint64, minimize bool) []float64 {
 		panic("lp: Solution.Duals read after its workspace was reused")
 	}
 	t := &w.t
+	// Reduced costs by column: a basic column's is 0, and it is exactly
+	// +0.0 in phase 2 (see DESIGN.md), as is that of an artificial whose
+	// redundant row was dropped.
+	obj := make([]float64, t.nCols)
+	for k, c := range t.slotCol {
+		obj[c] = t.obj[k]
+	}
 	y := make([]float64, len(w.rels))
 	// Slack columns are assigned in constraint order during construction,
 	// so the column → original-constraint mapping is replayed from the row
@@ -344,7 +352,7 @@ func (w *Workspace) dualsFromTableau(gen uint64, minimize bool) []float64 {
 		if pl.rel == EQ {
 			continue // no slack column
 		}
-		v := -t.obj[slack]
+		v := -obj[slack]
 		if pl.rel == GE {
 			v = -v // slack coefficient is −1
 		}
@@ -375,7 +383,7 @@ func (w *Workspace) dualsFromTableau(gen uint64, minimize bool) []float64 {
 			continue
 		}
 		if pl.rel == EQ {
-			v := -t.obj[art]
+			v := -obj[art]
 			if pl.flip {
 				v = -v
 			}
@@ -401,13 +409,6 @@ func growFloats(s []float64, n int) []float64 {
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }

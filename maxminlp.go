@@ -212,10 +212,11 @@ type Backend = lp.Backend
 
 // Simplex backends.
 const (
-	// BackendDense is the reference full-tableau simplex.
+	// BackendDense is the reference tableau simplex.
 	BackendDense = lp.BackendDense
 	// BackendRevised is the revised simplex (sparse columns, explicit
-	// basis inverse); faster on large sparse instances.
+	// basis inverse), an independent second implementation; it is slower
+	// than BackendDense on every torus BenchmarkLPBackends measures.
 	BackendRevised = lp.BackendRevised
 )
 
