@@ -53,18 +53,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer logs.Close()
-	spawn := func(args ...string) *exec.Cmd {
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout, cmd.Stderr = logs, logs
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-		return cmd
-	}
+	spawn := func(args ...string) *exec.Cmd { return startDaemon(t, bin, logs, args...) }
 	coordArgs := []string{
 		"-role=coordinator", "-addr", httpAddr, "-cluster-addr", clusterAddr,
 		"-workers", "2", "-data-dir", dataDir, "-fsync", "always",

@@ -124,7 +124,7 @@ func (s *server) reviveInstance(id string, ld walLoad) error {
 	sess.SetObs(s.obs.solve)
 	m := &managed{
 		ID: id, Name: ld.Name, Loaded: ld.Loaded, Agents: in.NumAgents(),
-		seq: ld.Seq, sess: sess,
+		seq: ld.Seq, sess: sess, xmemo: s.obs.newXMemo(),
 		oblivious: ld.CollaborationOblivious, workers: ld.Workers,
 	}
 	s.instances[id] = m

@@ -31,6 +31,10 @@ type serverObs struct {
 	slowReqs  *obs.Counter
 	instances *obs.Gauge
 
+	// Solve responses whose X was copied from the instance's memo
+	// rather than formatted, and those formatted afresh.
+	xMemoHit, xMemoMiss *obs.Counter
+
 	// Durability and self-healing.
 	walAppends    *obs.Counter
 	walFsync      *obs.Histogram
@@ -58,6 +62,12 @@ func newServerObs() *serverObs {
 		slowReqs: reg.Counter("mmlpd_slow_requests_total",
 			"Requests slower than the slow-query threshold."),
 		instances: reg.Gauge("mmlpd_instances", "Instances currently loaded."),
+		xMemoHit: reg.Counter("mmlpd_solve_x_memo_total",
+			"Solve-response X vectors by memo outcome: copied (hit) or formatted (miss).",
+			obs.L("result", "hit")),
+		xMemoMiss: reg.Counter("mmlpd_solve_x_memo_total",
+			"Solve-response X vectors by memo outcome: copied (hit) or formatted (miss).",
+			obs.L("result", "miss")),
 		walAppends: reg.Counter("mmlpd_wal_appends_total",
 			"Records appended to the write-ahead log."),
 		walFsync: reg.Histogram("mmlpd_wal_fsync_seconds",
@@ -78,6 +88,12 @@ func newServerObs() *serverObs {
 		totalAlloc: reg.Gauge("go_memstats_alloc_bytes_total",
 			"Cumulative bytes allocated for heap objects."),
 	}
+}
+
+// newXMemo returns an empty solve-response memo counting into the
+// daemon's metrics.
+func (o *serverObs) newXMemo() *httpapi.XMemo {
+	return &httpapi.XMemo{Hit: o.xMemoHit, Miss: o.xMemoMiss}
 }
 
 // requests returns the request counter for one endpoint/status pair.

@@ -110,6 +110,10 @@ type managed struct {
 	sess *maxminlp.Solver
 	mu   sync.Mutex
 
+	// xmemo holds the last served X per (kind, radius) with its JSON
+	// text; used only under mu.
+	xmemo *httpapi.XMemo
+
 	// Load-time session options, kept verbatim so the WAL and the
 	// cluster journal can rebuild an identical session elsewhere.
 	oblivious bool
@@ -320,6 +324,7 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Agents:    in.NumAgents(),
 		seq:       s.nextID,
 		sess:      sess,
+		xmemo:     s.obs.newXMemo(),
 		oblivious: req.CollaborationOblivious,
 		workers:   req.Workers,
 	}
@@ -432,11 +437,27 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.Phase("validate")
-	// Hold the instance lock across the whole batch: each result's
-	// omega is evaluated against the weights its X was solved under,
-	// and the batch observes one consistent instance even while other
-	// clients patch weights (their patches apply before or after, never
-	// in between).
+	body, apiErr := s.solveBatch(m, &req, sp)
+	if apiErr != nil {
+		apiErrorObj(w, apiErr)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client has gone
+	sp.Phase("encode")
+}
+
+// solveBatch runs a batch and encodes its results while holding the
+// instance lock: each result's omega is evaluated against the weights its
+// X was solved under, the batch observes one consistent instance even
+// while other clients patch weights (their patches apply before or after,
+// never in between), and an X that aliases session state is formatted
+// before a later patch can rewrite it. The response is written after the
+// lock is released. An unchanged X is copied from the instance's memo
+// instead of formatted again.
+func (s *server) solveBatch(m *managed, req *solveRequest, sp *obs.Span) ([]byte, *httpapi.Error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]solveResult, 0, len(req.Queries))
@@ -446,23 +467,32 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			if apiErr, ok := err.(*httpapi.Error); ok {
 				// Preserve the code AND the retry hint — a degraded
 				// cluster's 503 must tell the client when to come back.
-				apiErrorObj(w, &httpapi.Error{
+				return nil, &httpapi.Error{
 					Code:        apiErr.Code,
 					Message:     fmt.Sprintf("query %d (%s): %s", qi, q.Kind, apiErr.Message),
 					RetryAfterS: apiErr.RetryAfterS,
-				})
-				return
+				}
 			}
-			apiError(w, httpapi.CodeInvalidArgument, "query %d (%s): %v", qi, q.Kind, err)
-			return
+			return nil, &httpapi.Error{
+				Code:    httpapi.CodeInvalidArgument,
+				Message: fmt.Sprintf("query %d (%s): %v", qi, q.Kind, err),
+			}
 		}
 		out = append(out, res)
 	}
 	m.Queries.Add(int64(len(req.Queries)))
 	sp.Annotate(fmt.Sprintf("instance=%s queries=%d", m.ID, len(req.Queries)))
 	sp.Phase("solve")
-	writeJSON(w, http.StatusOK, out)
-	sp.Phase("encode")
+	body, err := httpapi.AppendSolveResults(nil, out, m.xmemo)
+	if err != nil {
+		// ω is +Inf when no party row has a nonempty support, a state
+		// loads and topology patches can reach; JSON has no such number.
+		return nil, &httpapi.Error{
+			Code:    httpapi.CodeInvalidArgument,
+			Message: fmt.Sprintf("results are not representable in JSON: %v", err),
+		}
+	}
+	return body, nil
 }
 
 // runQuery executes one query; the caller holds m.mu. In cluster mode,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -27,6 +28,24 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// startDaemon starts the mmlpd binary with args, its output to out. The
+// process is killed and reaped when the test ends, and by the kernel if
+// the test binary dies first.
+func startDaemon(t *testing.T, bin string, out io.Writer, args ...string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = out, out
+	dieWithTest(cmd)
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start %v: %v", args, err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	return cmd
+}
+
 // TestClusterProcessSmoke is the end-to-end deployment check CI runs as
 // its cluster job: it builds the real mmlpd binary, boots a coordinator
 // and two workers as separate OS processes on loopback TCP, replays a
@@ -47,22 +66,9 @@ func TestClusterProcessSmoke(t *testing.T) {
 	worker1 := freePort(t)
 	worker2 := freePort(t)
 
-	start := func(args ...string) *exec.Cmd {
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %v: %v", args, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-		return cmd
-	}
-	start("-role=coordinator", "-addr", coordHTTP, "-cluster-addr", coordCtl, "-workers", "2", "-quiet")
-	start("-role=worker", "-join", coordCtl, "-addr", worker1, "-quiet")
-	start("-role=worker", "-join", coordCtl, "-addr", worker2, "-quiet")
+	startDaemon(t, bin, os.Stderr, "-role=coordinator", "-addr", coordHTTP, "-cluster-addr", coordCtl, "-workers", "2", "-quiet")
+	startDaemon(t, bin, os.Stderr, "-role=worker", "-join", coordCtl, "-addr", worker1, "-quiet")
+	startDaemon(t, bin, os.Stderr, "-role=worker", "-join", coordCtl, "-addr", worker2, "-quiet")
 
 	cl := mmlpclient.New("http://"+coordHTTP, nil)
 	deadline := time.Now().Add(30 * time.Second)

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"maxminlp/internal/backoff"
@@ -52,13 +53,18 @@ func DefaultRetry() RetryPolicy {
 	}
 }
 
-// Client talks to one mmlpd daemon.
+// Client talks to one mmlpd daemon. It is safe for concurrent use.
 type Client struct {
 	base  string
 	http  *http.Client
 	retry RetryPolicy
 	sleep func(time.Duration) // test seam
 	seed  int64
+
+	// memos holds, per instance id, the last X text and vector of each
+	// (kind, radius) Solve decoded, so an unchanged X is not re-parsed.
+	mu    sync.Mutex
+	memos map[string]*httpapi.XMemo
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -81,11 +87,12 @@ func New(baseURL string, httpClient *http.Client) *Client {
 func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 
 // do performs one request, retrying idempotent ones per the policy.
-// Bodies encode as JSON; non-2xx responses decode the error envelope
-// into the returned *httpapi.Error. A response that should carry an
-// envelope but does not becomes a CodeInternal error, so callers
-// always get a code to branch on.
-func (c *Client) do(method, path string, in, out any, idempotent bool) error {
+// Bodies encode as JSON; a 2xx response body goes to decode (nil
+// discards it); non-2xx responses decode the error envelope into the
+// returned *httpapi.Error. A response that should carry an envelope
+// but does not becomes a CodeInternal error, so callers always get a
+// code to branch on.
+func (c *Client) do(method, path string, in any, decode func([]byte) error, idempotent bool) error {
 	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -100,7 +107,7 @@ func (c *Client) do(method, path string, in, out any, idempotent bool) error {
 	}
 	bo := backoff.New(c.retry.Backoff, c.seed)
 	for attempt := 1; ; attempt++ {
-		err := c.once(method, path, body, in != nil, out)
+		err := c.once(method, path, body, in != nil, decode)
 		if err == nil {
 			return nil
 		}
@@ -116,7 +123,7 @@ func (c *Client) do(method, path string, in, out any, idempotent bool) error {
 	}
 }
 
-func (c *Client) once(method, path string, body []byte, hasBody bool, out any) error {
+func (c *Client) once(method, path string, body []byte, hasBody bool, decode func([]byte) error) error {
 	var rd *bytes.Reader
 	if hasBody {
 		rd = bytes.NewReader(body)
@@ -138,14 +145,37 @@ func (c *Client) once(method, path string, body []byte, hasBody bool, out any) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Reading the body to EOF on every path lets the transport reuse
+	// the connection; a body closed unread costs a new one.
+	raw, err := readBody(resp)
+	resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return decodeError(resp)
+		return decodeError(resp.StatusCode, raw)
 	}
-	if out == nil {
+	if err != nil {
+		return err
+	}
+	if decode == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(raw)
+}
+
+// readBody reads a response body to EOF, in one allocation when the
+// length is declared.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > 1<<20 {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
+}
+
+// into returns a decoder that unmarshals a JSON body into v.
+func into(v any) func([]byte) error {
+	return func(b []byte) error { return json.Unmarshal(b, v) }
 }
 
 // retryable reports whether an attempt's failure is worth repeating:
@@ -176,23 +206,23 @@ func retryAfterOf(err error, cap time.Duration) time.Duration {
 	return d
 }
 
-func decodeError(resp *http.Response) *httpapi.Error {
+func decodeError(status int, body []byte) *httpapi.Error {
 	var env httpapi.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil || env.Error.Code == "" {
+	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Code == "" {
 		return &httpapi.Error{
 			Code:    httpapi.CodeInternal,
-			Message: fmt.Sprintf("status %d without an error envelope", resp.StatusCode),
-			Status:  resp.StatusCode,
+			Message: fmt.Sprintf("status %d without an error envelope", status),
+			Status:  status,
 		}
 	}
-	env.Error.Status = resp.StatusCode
+	env.Error.Status = status
 	return env.Error
 }
 
 // Load creates an instance from a generator spec or inline JSON.
 func (c *Client) Load(req *httpapi.LoadRequest) (*httpapi.InstanceInfo, error) {
 	var info httpapi.InstanceInfo
-	if err := c.do(http.MethodPost, "/v1/instances", req, &info, false); err != nil {
+	if err := c.do(http.MethodPost, "/v1/instances", req, into(&info), false); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -201,7 +231,7 @@ func (c *Client) Load(req *httpapi.LoadRequest) (*httpapi.InstanceInfo, error) {
 // List returns the loaded instances, sorted by load sequence.
 func (c *Client) List() (*httpapi.ListResponse, error) {
 	var out httpapi.ListResponse
-	if err := c.do(http.MethodGet, "/v1/instances", nil, &out, true); err != nil {
+	if err := c.do(http.MethodGet, "/v1/instances", nil, into(&out), true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -210,7 +240,7 @@ func (c *Client) List() (*httpapi.ListResponse, error) {
 // Get describes one instance.
 func (c *Client) Get(id string) (*httpapi.InstanceInfo, error) {
 	var info httpapi.InstanceInfo
-	if err := c.do(http.MethodGet, "/v1/instances/"+url.PathEscape(id), nil, &info, true); err != nil {
+	if err := c.do(http.MethodGet, "/v1/instances/"+url.PathEscape(id), nil, into(&info), true); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -218,22 +248,47 @@ func (c *Client) Get(id string) (*httpapi.InstanceInfo, error) {
 
 // Delete unloads an instance.
 func (c *Client) Delete(id string) error {
+	c.mu.Lock()
+	delete(c.memos, id)
+	c.mu.Unlock()
 	return c.do(http.MethodDelete, "/v1/instances/"+url.PathEscape(id), nil, nil, true)
 }
 
-// Solve runs a batch of queries against an instance's session.
+// Solve runs a batch of queries against an instance's session. Each
+// returned X is the caller's own: an X whose text repeats the last one
+// served for its instance, kind and radius is a copy of the vector
+// parsed then.
 func (c *Client) Solve(id string, req *httpapi.SolveRequest) ([]httpapi.SolveResult, error) {
+	memo := c.memo(id)
 	var out []httpapi.SolveResult
-	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/solve", req, &out, true); err != nil {
+	decode := func(b []byte) (err error) {
+		out, err = httpapi.DecodeSolveResults(b, memo)
+		return err
+	}
+	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/solve", req, decode, true); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+func (c *Client) memo(id string) *httpapi.XMemo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.memos[id]
+	if m == nil {
+		if c.memos == nil {
+			c.memos = make(map[string]*httpapi.XMemo)
+		}
+		m = new(httpapi.XMemo)
+		c.memos[id] = m
+	}
+	return m
+}
+
 // PatchWeights applies one atomic coefficient patch.
 func (c *Client) PatchWeights(id string, req *httpapi.WeightsRequest) (*httpapi.WeightsResponse, error) {
 	var out httpapi.WeightsResponse
-	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/weights", req, &out, false); err != nil {
+	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/weights", req, into(&out), false); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -242,7 +297,7 @@ func (c *Client) PatchWeights(id string, req *httpapi.WeightsRequest) (*httpapi.
 // PatchTopology applies one atomic structural patch.
 func (c *Client) PatchTopology(id string, req *httpapi.TopologyRequest) (*httpapi.TopologyResponse, error) {
 	var out httpapi.TopologyResponse
-	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/topology", req, &out, false); err != nil {
+	if err := c.do(http.MethodPost, "/v1/instances/"+url.PathEscape(id)+"/topology", req, into(&out), false); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -251,7 +306,7 @@ func (c *Client) PatchTopology(id string, req *httpapi.TopologyRequest) (*httpap
 // Health reads the liveness endpoint.
 func (c *Client) Health() (*httpapi.HealthResponse, error) {
 	var out httpapi.HealthResponse
-	if err := c.do(http.MethodGet, "/healthz", nil, &out, true); err != nil {
+	if err := c.do(http.MethodGet, "/healthz", nil, into(&out), true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -260,7 +315,7 @@ func (c *Client) Health() (*httpapi.HealthResponse, error) {
 // Stats reads the observability summary.
 func (c *Client) Stats() (*httpapi.StatsResponse, error) {
 	var out httpapi.StatsResponse
-	if err := c.do(http.MethodGet, "/v1/stats", nil, &out, true); err != nil {
+	if err := c.do(http.MethodGet, "/v1/stats", nil, into(&out), true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -270,7 +325,7 @@ func (c *Client) Stats() (*httpapi.StatsResponse, error) {
 // cluster coordinators serve it.
 func (c *Client) Cluster() (*httpapi.ClusterResponse, error) {
 	var out httpapi.ClusterResponse
-	if err := c.do(http.MethodGet, "/v1/cluster", nil, &out, true); err != nil {
+	if err := c.do(http.MethodGet, "/v1/cluster", nil, into(&out), true); err != nil {
 		return nil, err
 	}
 	return &out, nil

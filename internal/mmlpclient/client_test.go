@@ -3,8 +3,13 @@ package mmlpclient
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"maxminlp/internal/httpapi"
@@ -60,5 +65,57 @@ func TestClientAgainstStub(t *testing.T) {
 	_, err = c.Get("broken")
 	if !errors.As(err, &apiErr) || apiErr.Code != httpapi.CodeInternal || apiErr.Status != http.StatusTeapot {
 		t.Fatalf("Get(broken) err = %v", err)
+	}
+}
+
+// TestSolveReusesConnection: the client reads every response body to
+// EOF, so solves and errors whose bodies arrive chunked (no
+// Content-Length) keep one connection alive instead of opening one per
+// call. X vectors repeat, so the client's memo serves most of them.
+func TestSolveReusesConnection(t *testing.T) {
+	x := make([]float64, 1024)
+	for i := range x {
+		x[i] = float64(i) / 3
+	}
+	results := []httpapi.SolveResult{{Kind: "average", Radius: 1, Omega: 0.5, Micros: 9, X: x}}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path != "/v1/instances/i1/solve" {
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(httpapi.ErrorEnvelope{Error: &httpapi.Error{
+				Code: httpapi.CodeNotFound, Message: strings.Repeat("no such instance ", 500)}})
+			return
+		}
+		json.NewEncoder(w).Encode(results)
+	}))
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	c := New(ts.URL, nil)
+	req := &httpapi.SolveRequest{Queries: []httpapi.SolveQuery{{Kind: "average", Radius: 1}}, IncludeX: true}
+	for i := 0; i < 20; i++ {
+		id := "i1"
+		if i%5 == 4 {
+			id = "i2"
+		}
+		res, err := c.Solve(id, req)
+		var apiErr *httpapi.Error
+		switch {
+		case id == "i2" && !(errors.As(err, &apiErr) && apiErr.Code == httpapi.CodeNotFound):
+			t.Fatalf("solve %d: err = %v, want not_found", i, err)
+		case id == "i1" && (err != nil || len(res) != 1 || !slices.Equal(res[0].X, x)):
+			t.Fatalf("solve %d: %+v, %v", i, res, err)
+		case id == "i1":
+			res[0].X[0] = -1 // the caller owns its copy
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 calls opened %d connections, want 1", n)
 	}
 }
