@@ -143,6 +143,9 @@ func (s *server) replayRecord(rec wal.Record) error {
 		}
 		return s.reviveInstance(rec.ID, ld)
 	case walRecUnload:
+		if m, ok := s.instances[rec.ID]; ok {
+			m.sess.SetObs(nil)
+		}
 		delete(s.instances, rec.ID)
 		return nil
 	case walRecWeights:

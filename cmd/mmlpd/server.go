@@ -399,12 +399,14 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.commitMu.RLock()
 	s.mu.Lock()
-	_, ok := s.instances[id]
+	m, ok := s.instances[id]
 	delete(s.instances, id)
 	s.obs.instances.Set(float64(len(s.instances)))
 	c := s.cluster
 	s.mu.Unlock()
 	if ok {
+		// Withdraw the session's share of the solve-cache gauges.
+		m.sess.SetObs(nil)
 		s.walAppend(walRecUnload, id, nil)
 		if c != nil {
 			c.replicateUnload(id)

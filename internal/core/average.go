@@ -275,9 +275,9 @@ func localAverage(in *mmlp.Instance, g *hypergraph.Graph, radius int, opt Averag
 // in and out of the run. entriesOut, when non-nil (requires shared),
 // receives each agent's cache entry — nil for trivial K^u = ∅ balls —
 // which is how the Solver session retains per-agent solutions for
-// incremental re-solves. m, when non-nil, receives per-phase latencies
-// and binds LP accounting to the pooled workspaces; metrics never change
-// any output bit.
+// incremental re-solves; the caller must acquire them. m, when non-nil,
+// receives per-phase latencies and binds LP accounting to the pooled
+// workspaces; metrics never change any output bit.
 func localAverageParallelDedup(csr *hypergraph.CSR, bi *hypergraph.BallIndex, n, workers int, sharedCache *SolveCache, presolve bool, res *AverageResult, sums []float64, entriesOut []*cacheEntry, m *obs.SolveMetrics) error {
 	var solvers sync.Pool
 	solvers.New = func() any {
@@ -384,9 +384,12 @@ func localAverageParallelDedup(csr *hypergraph.CSR, bi *hypergraph.BallIndex, n,
 		return err
 	}
 	if shared != nil {
+		// The keys and solutions were made for this run: hand them over.
 		for gi, u := range reps {
 			if !gHit[gi] {
-				gEntry[gi] = shared.insert(hashes[u], keys[u], gX[gi], gOmega[gi], gPivots[gi])
+				gEntry[gi] = shared.put(&cacheEntry{
+					key: keys[u], x: gX[gi], omega: gOmega[gi], pivots: gPivots[gi], hash: hashes[u],
+				}, entriesOut != nil)
 			}
 		}
 	}
@@ -519,7 +522,7 @@ func (s *BallSolver) SolvesAvoided() int {
 	if s.cache == nil {
 		return 0
 	}
-	_, hits := s.cache.counts()
+	_, _, hits := s.cache.counts()
 	return hits
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -64,14 +65,21 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// cacheEntry is one solved local LP: its full canonical key (owned
-// copy), the solution over the ball's local indices, the optimum ω and
-// the pivots the solve took.
+// cacheEntry is one solved local LP: its full canonical key (owned by
+// the entry), the solution over the ball's local indices, the optimum ω
+// and the pivots the solve took. Entries are immutable once stored —
+// ball solvers hand out x by alias — so neither buffer is ever reused.
 type cacheEntry struct {
 	key    []byte
 	x      []float64
 	omega  float64
 	pivots int
+	hash   uint64
+	// holders counts the retained session slots (one per agent per
+	// radius) that reference the entry; changed only under the cache
+	// mutex. A session-owned cache drops an entry when its last holder
+	// releases it.
+	holders int
 }
 
 // solveCache maps canonical fingerprints to solved local LPs. Buckets
@@ -80,18 +88,37 @@ type cacheEntry struct {
 // reuse. Entries are immutable once inserted and are referenced by
 // pointer (never moved), so callers — the session's retained per-agent
 // results, the distributed engines' ball solvers — may hold entries
-// across later inserts and compactions. All access goes through the
+// after the cache has dropped them. All access goes through the
 // internal mutex, so one cache can be shared between a Solver session
 // and the per-node solvers of a distributed run.
+//
+// A session-owned cache (newSessionCache) holds exactly the entries its
+// retained balls reference: the session acquires every entry it
+// installs and releases every entry it replaces, and an entry leaves
+// its bucket with its last holder. Entries stored by callers that never
+// acquire — ball solvers, LocalAverageOpt over the session's cache — are
+// listed in unheld and dropped by the session's next sweep unless a
+// ball acquired them meanwhile. A cache built by NewSolveCache keeps
+// every entry and lists none.
 type solveCache struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*cacheEntry
-	size    int
-	hits    int
+	mu       sync.Mutex
+	buckets  map[uint64][]*cacheEntry
+	size     int
+	keyBytes int
+	hits     int
+
+	session bool
+	unheld  []*cacheEntry
 }
 
 func newSolveCache() *solveCache {
 	return &solveCache{buckets: make(map[uint64][]*cacheEntry)}
+}
+
+func newSessionCache() *solveCache {
+	c := newSolveCache()
+	c.session = true
+	return c
 }
 
 // lookup returns the entry whose key equals key exactly, or nil.
@@ -110,26 +137,104 @@ func (c *solveCache) lookupLocked(hash uint64, key []byte) *cacheEntry {
 	return nil
 }
 
-// insert stores owned copies of the key and solution and returns the
-// stored entry. If an equal key was inserted concurrently (two nodes of
-// a distributed run solving the same LP), the existing entry is returned
-// instead — the duplicate solve produced bit-identical numbers, so
-// either entry serves every holder.
+// insert stores copies of the key and solution (callers pass buffers
+// they reuse) and returns the stored entry; nobody holds it.
 func (c *solveCache) insert(hash uint64, key []byte, x []float64, omega float64, pivots int) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.lookupLocked(hash, key); e != nil {
-		return e
-	}
-	e := &cacheEntry{
+	return c.put(&cacheEntry{
 		key:    append([]byte(nil), key...),
 		x:      append([]float64(nil), x...),
 		omega:  omega,
 		pivots: pivots,
+		hash:   hash,
+	}, false)
+}
+
+// put stores e, taking ownership of its key and x, and returns the
+// stored entry. If an equal key was stored concurrently (two nodes of a
+// distributed run solving the same LP), the existing entry is returned
+// instead — the duplicate solve produced bit-identical numbers, so
+// either entry serves every holder. held promises that the caller will
+// acquire the returned entry before the cache's next sweep; other
+// entries of a session-owned cache are listed for that sweep.
+func (c *solveCache) put(e *cacheEntry, held bool) *cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.lookupLocked(e.hash, e.key); old != nil {
+		return old
 	}
-	c.buckets[hash] = append(c.buckets[hash], e)
+	c.buckets[e.hash] = append(c.buckets[e.hash], e)
 	c.size++
+	c.keyBytes += len(e.key)
+	if c.session && !held {
+		c.unheld = append(c.unheld, e)
+	}
 	return e
+}
+
+// acquire adds one holder to every non-nil entry of es. The entries
+// must be stored in the cache.
+func (c *solveCache) acquire(es []*cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range es {
+		if e != nil {
+			e.holders++
+		}
+	}
+}
+
+// release drops one holder from every non-nil entry of es; an entry
+// whose last holder leaves is removed. A caller replacing entries
+// acquires the new ones first, so an entry that is both replaced and
+// re-installed never reaches zero holders.
+func (c *solveCache) release(es []*cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range es {
+		if e == nil {
+			continue
+		}
+		e.holders--
+		if e.holders == 0 {
+			c.removeLocked(e)
+		}
+	}
+}
+
+// sweep removes the listed entries no ball has acquired, in time
+// proportional to the list.
+func (c *solveCache) sweep() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.unheld {
+		if e.holders == 0 {
+			c.removeLocked(e)
+		}
+	}
+	// Clear before truncating: the backing array must not keep dropped
+	// entries reachable.
+	clear(c.unheld)
+	c.unheld = c.unheld[:0]
+}
+
+// removeLocked takes e out of its bucket; a no-op if it is already gone
+// (an unheld entry that a ball acquired and released again).
+func (c *solveCache) removeLocked(e *cacheEntry) {
+	es := c.buckets[e.hash]
+	i := slices.Index(es, e)
+	if i < 0 {
+		return
+	}
+	last := len(es) - 1
+	es[i] = es[last]
+	es[last] = nil
+	if last == 0 {
+		delete(c.buckets, e.hash)
+	} else {
+		c.buckets[e.hash] = es[:last]
+	}
+	c.size--
+	c.keyBytes -= len(e.key)
 }
 
 // addHits bumps the cache-hit counter by n.
@@ -139,38 +244,12 @@ func (c *solveCache) addHits(n int) {
 	c.mu.Unlock()
 }
 
-// counts returns (distinct entries stored, hits served).
-func (c *solveCache) counts() (size, hits int) {
+// counts returns the distinct entries stored, the bytes of their keys
+// and the hits served.
+func (c *solveCache) counts() (size, keyBytes, hits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size, c.hits
-}
-
-// compact drops every entry not in keep, reclaiming cache slots whose
-// canonical keys can no longer occur (after a weight update changed the
-// coefficient bits they encode). Holders of dropped entries are
-// unaffected: entries are immutable and pointer-stable.
-func (c *solveCache) compact(keep map[*cacheEntry]bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for hash, es := range c.buckets {
-		w := 0
-		for _, e := range es {
-			if keep[e] {
-				es[w] = e
-				w++
-			}
-		}
-		if w == 0 {
-			delete(c.buckets, hash)
-		} else {
-			c.buckets[hash] = es[:w]
-		}
-	}
-	c.size = 0
-	for _, es := range c.buckets {
-		c.size += len(es)
-	}
+	return c.size, c.keyBytes, c.hits
 }
 
 // SolveCache is a reusable isomorphic-ball local-LP cache. Keys are
@@ -187,7 +266,7 @@ type SolveCache struct{ c *solveCache }
 func NewSolveCache() *SolveCache { return &SolveCache{c: newSolveCache()} }
 
 // DistinctSolves returns the number of distinct local LPs stored.
-func (s *SolveCache) DistinctSolves() int { n, _ := s.c.counts(); return n }
+func (s *SolveCache) DistinctSolves() int { n, _, _ := s.c.counts(); return n }
 
 // Hits returns how many solves were answered from the cache.
-func (s *SolveCache) Hits() int { _, h := s.c.counts(); return h }
+func (s *SolveCache) Hits() int { _, _, h := s.c.counts(); return h }

@@ -66,6 +66,9 @@ type Solver struct {
 	// invalidation counts from every query and update (see SetObs). Nil —
 	// the default — keeps the solve paths on their uninstrumented costs.
 	obsM *obs.SolveMetrics
+	// pubEntries and pubKeyBytes are this session's share of obsM's
+	// cache gauges, which sum over every session sharing the bundle.
+	pubEntries, pubKeyBytes int
 }
 
 // SolverStats counts the work a session has performed; the serving
@@ -177,7 +180,7 @@ func NewSolverFromGraph(in *mmlp.Instance, g *hypergraph.Graph) *Solver {
 		g:       g,
 		csr:     csrOf(in, g),
 		workers: runtime.GOMAXPROCS(0),
-		cache:   NewSolveCache(),
+		cache:   &SolveCache{c: newSessionCache()},
 		balls:   make(map[int]*hypergraph.BallIndex),
 		states:  make(map[int]*radiusState),
 	}
@@ -203,25 +206,48 @@ func (s *Solver) resetPool() {
 }
 
 // SetObs attaches (or, with nil, detaches) solve-pipeline metrics: phase
-// latencies, cache hit/miss counts, invalidated-ball counts and the LP
-// workspace accounting of the pooled solvers. Metrics never change any
+// latencies, cache hit/miss counts, invalidated-ball counts, the cache
+// footprint gauges and the LP workspace accounting of the pooled
+// solvers. Detaching withdraws the session's share of the gauges, so a
+// server detaches a session it discards. Metrics never change any
 // output bit; disabled (the default) they cost nothing on the solve
 // paths.
 func (s *Solver) SetObs(m *obs.SolveMetrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if old := s.obsM; old != nil {
+		old.CacheEntries.Add(-float64(s.pubEntries))
+		old.CacheKeyBytes.Add(-float64(s.pubKeyBytes))
+	}
+	s.pubEntries, s.pubKeyBytes = 0, 0
 	s.obsM = m
 	s.resetPool()
+	s.publishCache()
+}
+
+// publishCache moves the session's share of the cache gauges to the
+// cache's current footprint.
+func (s *Solver) publishCache() {
+	m := s.obsM
+	if m == nil {
+		return
+	}
+	n, kb, _ := s.cache.c.counts()
+	if n != s.pubEntries || kb != s.pubKeyBytes {
+		m.CacheEntries.Add(float64(n - s.pubEntries))
+		m.CacheKeyBytes.Add(float64(kb - s.pubKeyBytes))
+		s.pubEntries, s.pubKeyBytes = n, kb
+	}
 }
 
 // SetPresolve enables or disables ball-LP presolve for all later
 // queries (see AverageOptions.Presolve for the exactness contract).
 // Toggling it discards the retained per-radius solve state — results
 // solved under one setting are never served under the other — but keeps
-// every structural quantity (CSR, ball indexes, certificates, β) and
-// the shared solve cache: cache keys encode the reduced form actually
-// solved, so entries written under either setting only ever match LPs
-// with the identical reduced form and can be shared safely.
+// every structural quantity (CSR, ball indexes, certificates, β). The
+// discarded balls release their cache entries; cache keys encode the
+// reduced form actually solved, so an entry still held elsewhere only
+// ever matches LPs with the identical reduced form and is shared safely.
 func (s *Solver) SetPresolve(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,6 +257,7 @@ func (s *Solver) SetPresolve(on bool) {
 	s.presolve = on
 	s.resetPool()
 	for _, st := range s.states {
+		s.cache.c.release(st.entries)
 		st.res = nil
 		st.entries = nil
 		st.sums = nil
@@ -239,6 +266,7 @@ func (s *Solver) SetPresolve(on bool) {
 		st.topoDirty = false
 		st.pendingAffected = nil
 	}
+	s.publishCache()
 }
 
 // Presolve reports whether ball-LP presolve is enabled.
@@ -295,14 +323,19 @@ func (s *Solver) Snapshot() (*mmlp.Instance, *hypergraph.Graph) {
 	return s.in, s.g
 }
 
-// Cache returns the session's shared solve cache.
+// Cache returns the session's shared solve cache. It holds exactly the
+// entries the retained balls of every radius reference, plus entries
+// that other callers (ball solvers, LocalAverageOpt) stored since the
+// last update: the next UpdateWeights or UpdateTopology drops those
+// unless a ball has taken them up meanwhile.
 func (s *Solver) Cache() *SolveCache { return s.cache }
 
 // NewBallSolver returns a view-based ball-LP solver backed by the
 // session's shared cache — the hook the distributed engines use so every
 // node's redundant re-solves dedup against the session (and each other).
 // Each returned solver must stay on one goroutine; the cache itself is
-// internally synchronised.
+// internally synchronised. Entries the solver stores that no session
+// ball takes up are dropped at the session's next update.
 func (s *Solver) NewBallSolver() *BallSolver {
 	return NewBallSolverWithCache(s.cache)
 }
@@ -485,6 +518,7 @@ func (s *Solver) localAverageLocked(radius int) (*AverageResult, error) {
 		s.stats.WarmHits++
 		s.obsM.RecordWarmHit()
 	}
+	s.publishCache()
 	return copyResult(st.res), nil
 }
 
@@ -516,6 +550,8 @@ func (s *Solver) solveFull(radius int, st *radiusState) error {
 		res.X[j] = st.beta[j] / float64(bi.Size(j)) * sums[j]
 	}
 	res.PartyBound, res.ResourceBound = st.partyBound, st.resourceBound
+	s.cache.c.acquire(entries)
+	s.cache.c.release(st.entries)
 	st.res, st.entries, st.sums = res, entries, sums
 	st.dirty = make([]bool, n)
 	st.nDirty = 0
@@ -648,9 +684,12 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 	res := st.res
 	res.LocalLPs, res.LocalPivots, res.SolvesAvoided = 0, 0, 0
 	hits := 0
+	// The keys and solutions were made for this pass: hand them over.
 	for gi, rdi := range reps {
 		if gEntry[gi] == nil {
-			gEntry[gi] = s.cache.c.insert(hashes[rdi], keys[rdi], gX[gi], gOmega[gi], gPivots[gi])
+			gEntry[gi] = s.cache.c.put(&cacheEntry{
+				key: keys[rdi], x: gX[gi], omega: gOmega[gi], pivots: gPivots[gi], hash: hashes[rdi],
+			}, true)
 			res.LocalLPs++
 			res.LocalPivots += gPivots[gi]
 		}
@@ -661,8 +700,12 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 	// for every coordinate a dirty ball covers. Balls are symmetric
 	// (j ∈ B(u) ⟺ u ∈ B(j)), so recomputing sums[j] over B(j) in
 	// ascending u order reproduces exactly the addend sequence of the
-	// cold path.
+	// cold path. Every new entry is acquired before any replaced one is
+	// released, so a ball whose key did not change keeps its entry.
+	installed := make([]*cacheEntry, nd)
+	replaced := make([]*cacheEntry, nd)
 	for di, u := range dirty {
+		replaced[di] = st.entries[u]
 		if gid[di] < 0 {
 			st.entries[u] = nil
 			res.LocalOmega[u] = math.Inf(1)
@@ -671,6 +714,7 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 		}
 		gi := gid[di]
 		e := gEntry[gi]
+		installed[di] = e
 		st.entries[u] = e
 		res.LocalOmega[u] = e.omega
 		// Freshly solved representatives (gX non-nil) were counted as
@@ -681,6 +725,8 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 		}
 	}
 	s.cache.c.addHits(hits)
+	s.cache.c.acquire(installed)
+	s.cache.c.release(replaced)
 
 	affected := make([]bool, len(st.dirty))
 	var affectedList []int
@@ -868,7 +914,8 @@ func (s *Solver) UpdateWeights(deltas []WeightDelta) error {
 	}
 	s.stats.WeightUpdates++
 	s.stats.DeltasApplied += len(deltas)
-	s.compactCache()
+	s.cache.c.sweep()
+	s.publishCache()
 	if m := s.obsM; m != nil {
 		m.WeightInvalidations.Add(int64(invalidated))
 		sw.Lap(m.WeightUpdateSeconds)
@@ -969,7 +1016,8 @@ func (s *Solver) UpdateTopology(ups []mmlp.TopoUpdate) (*mmlp.TopoDiff, error) {
 	s.stats.TopoOpsApplied += len(ups)
 	s.stats.AgentsAdded += len(d.AddedAgents)
 	s.stats.AgentsRemoved += len(d.RemovedAgents)
-	s.compactCache()
+	s.cache.c.sweep()
+	s.publishCache()
 	if m := s.obsM; m != nil {
 		for _, p := range patches {
 			m.TopoInvalidations.Add(int64(len(p.dirty)))
@@ -979,25 +1027,6 @@ func (s *Solver) UpdateTopology(ups []mmlp.TopoUpdate) (*mmlp.TopoDiff, error) {
 		sw.Lap(m.TopoUpdateSeconds)
 	}
 	return d, nil
-}
-
-// compactCache drops cache entries no retained result references once
-// the cache has grown well past the live set — stale keys encode
-// coefficient bits that can no longer occur (unless a later update
-// restores them, in which case the entry is simply re-solved).
-func (s *Solver) compactCache() {
-	live := make(map[*cacheEntry]bool)
-	for _, st := range s.states {
-		for _, e := range st.entries {
-			if e != nil {
-				live[e] = true
-			}
-		}
-	}
-	if s.cache.DistinctSolves() <= 4*len(live)+64 {
-		return
-	}
-	s.cache.c.compact(live)
 }
 
 // copyResult returns a private copy of a retained result, so callers can

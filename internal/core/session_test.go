@@ -363,8 +363,10 @@ func TestSessionConcurrent(t *testing.T) {
 }
 
 // TestSessionCacheCompaction checks that repeated weight updates cannot
-// grow the shared cache without bound: after each update the compactor
-// keeps the entry count within the documented envelope of the live set.
+// grow the shared cache without bound: the entry count stays within 4×
+// the live set + 64, the envelope of the former periodic compaction
+// (the session now holds exactly the live set; see
+// TestSessionCacheHoldsOnlyLiveEntries).
 func TestSessionCacheCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{})

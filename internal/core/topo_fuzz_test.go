@@ -74,6 +74,7 @@ func FuzzTopologyIncrementalVsCold(f *testing.F) {
 				t.Fatalf("cold solve after batch %d: %v", bi, err)
 			}
 			sameAverageResult(t, "fuzz incremental vs cold", inc, cold)
+			checkCacheLive(t, s, "fuzz batch")
 			if v := mirror.Violation(inc.X); v > 1e-9 {
 				t.Fatalf("batch %d: incremental X infeasible on mutated instance (violation %v)", bi, v)
 			}

@@ -100,6 +100,11 @@ type SolveMetrics struct {
 	CacheMisses    *Counter // {result="miss"} — ball LPs actually solved
 	AgentsResolved *Counter // mmlp_solve_agents_resolved_total
 
+	// Ball-LP cache footprint after each session pass and update, summed
+	// over the sessions sharing the bundle.
+	CacheEntries  *Gauge // mmlp_solve_cache_entries
+	CacheKeyBytes *Gauge // mmlp_solve_cache_key_bytes
+
 	// PresolveRowsDropped counts constraint rows the ball-LP presolve
 	// eliminated before fingerprinting; together with the cache series it
 	// makes the presolve dedup-hit delta observable on /metrics.
@@ -148,6 +153,10 @@ func NewSolveMetrics(r *Registry) *SolveMetrics {
 			L("result", "miss")),
 		AgentsResolved: r.Counter("mmlp_solve_agents_resolved_total",
 			"Agents re-solved by incremental passes."),
+		CacheEntries: r.Gauge("mmlp_solve_cache_entries",
+			"Solved ball LPs held in session caches."),
+		CacheKeyBytes: r.Gauge("mmlp_solve_cache_key_bytes",
+			"Bytes of canonical keys held in session caches."),
 		PresolveRowsDropped: r.Counter("mmlp_presolve_rows_dropped_total",
 			"Ball-LP constraint rows eliminated by presolve before fingerprinting."),
 
