@@ -1,8 +1,7 @@
 // Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E12) plus
 // ablations for the design choices called out in DESIGN.md: pivot rules,
-// float vs exact arithmetic, dense vs revised simplex, averaging radius,
-// sequential vs parallel local-LP execution, and the two distributed
-// engines. Run with:
+// float vs exact arithmetic, averaging radius, sequential vs parallel
+// local-LP execution, and the distributed engines. Run with:
 //
 //	go test -bench=. -benchmem
 package maxminlp_test
@@ -211,8 +210,7 @@ func BenchmarkLocalAveragePresolve(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the sequential reference engine against the
-// goroutine-per-agent engine on the same protocol.
+// BenchmarkEngines runs every engine on the same protocol.
 func BenchmarkEngines(b *testing.B) {
 	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{})
 	g := maxminlp.NewGraph(in, maxminlp.GraphOptions{})
@@ -220,19 +218,21 @@ func BenchmarkEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proto := dist.AverageProtocol{Radius: 1}
-	b.Run("sequential", func(b *testing.B) {
+	for _, name := range dist.Engines() {
+		benchEngine(b, name, name, dist.Options{}, nw, dist.AverageProtocol{Radius: 1})
+	}
+}
+
+// benchEngine runs p on nw under the named engine as sub-benchmark sub.
+func benchEngine(b *testing.B, sub, name string, opt dist.Options, nw *dist.Network, p dist.Protocol) {
+	eng, err := dist.New(name, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(sub, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunSequential(proto); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunGoroutines(proto); err != nil {
+			if _, err := eng.Run(nw, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,31 +326,9 @@ func BenchmarkEnginesLarge(b *testing.B) {
 		b.Fatal(err)
 	}
 	proto := dist.AverageProtocol{Radius: 1}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunSequential(proto); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunGoroutines(proto); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchEngine(b, "sequential", "sequential", dist.Options{}, nw, proto)
 	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sharded-P=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := nw.RunSharded(proto, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		benchEngine(b, fmt.Sprintf("sharded-P=%d", shards), "sharded", dist.Options{Shards: shards}, nw, proto)
 	}
 }
 
@@ -397,32 +375,6 @@ func BenchmarkLowerBoundBuild(b *testing.B) {
 		}
 		if c.S.NumAgents() == 0 {
 			b.Fatal("empty instance")
-		}
-	}
-}
-
-// BenchmarkLPBackends ablates the condensed-tableau simplex against the
-// revised simplex (sparse columns + explicit basis inverse) on the
-// max-min LP of a growing torus. The tableau is the faster of the two at
-// every size here (DESIGN.md records the numbers).
-func BenchmarkLPBackends(b *testing.B) {
-	for _, side := range []int{8, 12, 16} {
-		in, _ := gen.Torus([]int{side, side}, gen.LatticeOptions{})
-		for _, backend := range []struct {
-			name string
-			b    lp.Backend
-		}{
-			{"dense", lp.BackendDense},
-			{"revised", lp.BackendRevised},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d", backend.name, in.NumAgents()), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := lp.SolveMaxMinWith(in, backend.b); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }
@@ -523,8 +475,8 @@ func BenchmarkSession(b *testing.B) {
 // attached: the instrumented twin that the CI overhead gate compares
 // against the plain runs (obs-on must stay within 2% of obs-off), and
 // the source of the obs-derived phase latency distributions (p50/p99
-// per solve phase, in ns) that BENCH_PR6.json records alongside the
-// per-op means.
+// per solve phase, in ns) that the bench-smoke record carries alongside
+// the per-op means.
 func BenchmarkSessionObs(b *testing.B) {
 	in, _ := gen.Torus([]int{16, 16}, gen.LatticeOptions{})
 	const radius = 2
@@ -621,38 +573,23 @@ func BenchmarkSessionNetwork(b *testing.B) {
 	in, _ := gen.Torus([]int{10, 10}, gen.LatticeOptions{})
 	g := maxminlp.NewGraph(in, maxminlp.GraphOptions{})
 	proto := dist.AverageProtocol{Radius: 1}
-	b.Run("plain", func(b *testing.B) {
-		nw, err := dist.NewNetwork(in, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunSequential(proto); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("session", func(b *testing.B) {
-		sess := core.NewSolverFromGraph(in, g)
-		nw, err := dist.NewSessionNetwork(sess)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RunSequential(proto); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	plain, err := dist.NewNetwork(in, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngine(b, "plain", "sequential", dist.Options{}, plain, proto)
+	sess, err := dist.NewSessionNetwork(core.NewSolverFromGraph(in, g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngine(b, "session", "sequential", dist.Options{}, sess, proto)
 }
 
 // BenchmarkE15ChurnProfile regenerates the EXPERIMENTS.md churn table.
 func BenchmarkE15ChurnProfile(b *testing.B) { benchExperiment(b, "E15") }
 
 // BenchmarkParallelScaling is the work-stealing runtime's P∈{1,2,4,8}
-// scaling matrix (EXPERIMENTS.md E17, emitted into BENCH_PR9.json):
+// scaling matrix (EXPERIMENTS.md E17):
 //
 //   - uniform: cold dedup solve of a random-weight 24×24 torus at R=1 —
 //     every fingerprint is distinct, so all 576 local LPs really solve,
@@ -759,8 +696,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 // index, every local LP); incremental patches the warm session and
 // re-solves only the invalidated balls. rebuilds/op must stay 0 on the
 // incremental path and invalidated-balls/op is the patch footprint —
-// the acceptance numbers of the structural-update layer, recorded in
-// BENCH_PR5.json.
+// the acceptance numbers of the structural-update layer.
 func BenchmarkSessionTopology(b *testing.B) {
 	in, _ := gen.Torus([]int{16, 16}, gen.LatticeOptions{})
 	const radius = 2

@@ -2,10 +2,10 @@
 // machine-readable JSON map, so the repo's perf trajectory can be
 // tracked file-to-file across PRs instead of by eyeballing logs. The
 // bench-smoke CI job runs every benchmark once and publishes the result
-// as BENCH_PR3.json at the repository root:
+// as the bench-smoke.json artifact:
 //
 //	go test -run '^$' -bench . -benchtime 1x ./... | tee bench.txt
-//	go run ./cmd/benchjson -o BENCH_PR3.json bench.txt
+//	go run ./cmd/benchjson -o bench-smoke.json bench.txt
 //
 // Each benchmark maps to its parsed metrics: ns/op always, plus B/op,
 // allocs/op and any custom b.ReportMetric series present (the dedup

@@ -96,8 +96,8 @@ func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	proto := fs.String("proto", "average", "safe | average")
 	radius := fs.Int("radius", 1, "averaging radius R for -proto average")
-	engine := fs.String("engine", "sequential", "sequential | goroutines | sharded")
-	shards := fs.Int("shards", 0, "workers for -engine sharded; ≤ 0 selects GOMAXPROCS")
+	engine := fs.String("engine", "sequential", strings.Join(dist.Engines(), " | "))
+	shards := fs.Int("shards", 0, "workers for -engine sharded, members for -engine partitioned; ≤ 0 selects GOMAXPROCS")
 	printX := fs.Bool("x", false, "print the full activity vector")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -120,17 +120,11 @@ func cmdSimulate(args []string) error {
 	default:
 		return fmt.Errorf("unknown protocol %q", *proto)
 	}
-	var tr *dist.Trace
-	switch *engine {
-	case "sequential":
-		tr, err = nw.RunSequential(p)
-	case "goroutines":
-		tr, err = nw.RunGoroutines(p)
-	case "sharded":
-		tr, err = nw.RunSharded(p, *shards)
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
+	eng, err := dist.New(*engine, dist.Options{Shards: *shards})
+	if err != nil {
+		return err
 	}
+	tr, err := eng.Run(nw, p)
 	if err != nil {
 		return err
 	}
@@ -150,7 +144,7 @@ func cmdSimulate(args []string) error {
 
 func cmdSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
-	alg := fs.String("alg", "optimal", "optimal | revised | bisect | safe | average | adaptive")
+	alg := fs.String("alg", "optimal", "optimal | safe | average | adaptive")
 	radius := fs.Int("radius", 1, "radius R for -alg average")
 	target := fs.Float64("target", 2, "target ratio for -alg adaptive")
 	noDedup := fs.Bool("nodedup", false, "disable isomorphic-ball LP dedup for -alg average/adaptive (reference path; same outputs)")
@@ -172,20 +166,6 @@ func cmdSolve(args []string) error {
 		}
 		x = res.X
 		fmt.Printf("optimal ω = %.6g (%d pivots)\n", res.Omega, res.Pivots)
-	case "revised":
-		res, err := lp.SolveMaxMinWith(in, lp.BackendRevised)
-		if err != nil {
-			return err
-		}
-		x = res.X
-		fmt.Printf("optimal (revised) ω = %.6g (%d pivots)\n", res.Omega, res.Pivots)
-	case "bisect":
-		res, err := lp.SolveMaxMinBisect(in, 1e-9)
-		if err != nil {
-			return err
-		}
-		x = res.X
-		fmt.Printf("optimal (bisection) ω = %.6g (%d probes)\n", res.Omega, res.Pivots)
 	case "safe":
 		x = core.Safe(in)
 		fmt.Printf("safe ω = %.6g (proven ratio ≤ ΔVI = %d)\n", in.Objective(x), in.Degrees().MaxVI)

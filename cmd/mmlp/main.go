@@ -43,7 +43,7 @@ var commands = []command{
 	{"gen", "generate an instance (torus, grid, random, sensornet, isp)", cmdGen},
 	{"stats", "print instance statistics and degree bounds", cmdStats},
 	{"solve", "solve an instance with optimal, safe or average", cmdSolve},
-	{"simulate", "run a protocol on a distributed engine (sequential, goroutines, sharded)", cmdSimulate},
+	{"simulate", "run a protocol on a distributed engine (partitioned, sequential, sharded, stabilizing)", cmdSimulate},
 	{"gamma", "print the relative growth profile γ(r)", cmdGamma},
 	{"lowerbound", "build and verify the Theorem-1 construction", cmdLowerBound},
 	{"figure2", "print Figure 2 (Theorem-3 set definitions) on an instance", cmdFigure2},

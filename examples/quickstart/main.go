@@ -53,12 +53,17 @@ func main() {
 	}
 
 	// The same algorithms as real message-passing protocols: every agent
-	// is a goroutine exchanging messages with its neighbours in H.
+	// is a node exchanging messages with its neighbours in H, here on the
+	// sharded engine's pool of worker goroutines.
 	nw, err := maxminlp.NewNetwork(in, g)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := nw.RunGoroutines(maxminlp.AverageProtocol{Radius: 1})
+	eng, err := maxminlp.NewEngine("sharded", maxminlp.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := eng.Run(nw, maxminlp.AverageProtocol{Radius: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ref, err := nw.RunSequential(maxminlp.AverageProtocol{Radius: *radius})
+	seq, err := maxminlp.NewEngine("sequential", maxminlp.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ref, err := seq.Run(nw, maxminlp.AverageProtocol{Radius: *radius})
 	if err != nil {
 		log.Fatal(err)
 	}

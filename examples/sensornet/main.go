@@ -72,7 +72,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := nw.RunGoroutines(maxminlp.AverageProtocol{Radius: 1})
+	eng, err := maxminlp.NewEngine("sharded", maxminlp.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := eng.Run(nw, maxminlp.AverageProtocol{Radius: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"maxminlp"
+	"maxminlp/internal/lp"
 )
 
 // TestIntegrationSensorNetworkPipeline runs the full §2 story through the
@@ -24,17 +25,17 @@ func TestIntegrationSensorNetworkPipeline(t *testing.T) {
 	}
 	g := maxminlp.NewGraph(in, maxminlp.GraphOptions{})
 
-	// Ground truth, both backends.
-	dense, err := maxminlp.SolveOptimalWith(in, maxminlp.BackendDense)
+	// Ground truth: the float simplex against the exact rational one.
+	dense, err := maxminlp.SolveOptimal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	revised, err := maxminlp.SolveOptimalWith(in, maxminlp.BackendRevised)
+	exact, err := lp.SolveMaxMinRat(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(dense.Omega-revised.Omega) > 1e-6*(1+dense.Omega) {
-		t.Fatalf("backends disagree: dense %v vs revised %v", dense.Omega, revised.Omega)
+	if omega, _ := exact.Omega.Float64(); math.Abs(dense.Omega-omega) > 1e-6*(1+omega) {
+		t.Fatalf("float ω %v disagrees with exact ω %v", dense.Omega, omega)
 	}
 
 	// Local algorithms: feasible and certified.
@@ -74,10 +75,7 @@ func TestIntegrationSensorNetworkPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := nw.RunGoroutines(maxminlp.AverageProtocol{Radius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runEngine(t, nw, "sharded", 0, maxminlp.AverageProtocol{Radius: 1})
 	for v := range avg1.X {
 		if tr.X[v] != avg1.X[v] {
 			t.Fatalf("distributed run diverged at agent %d", v)

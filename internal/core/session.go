@@ -45,8 +45,8 @@ type Solver struct {
 	g   *hypergraph.Graph
 	csr *hypergraph.CSR
 	// csrOwned marks that csr's coefficient arrays are a private clone
-	// (copy-on-write, done on the first UpdateWeights) and may be patched
-	// in place.
+	// (copy-on-write, done by the first UpdateWeights after csr was last
+	// handed out) and may be patched in place.
 	csrOwned bool
 
 	workers int
@@ -304,23 +304,38 @@ func (s *Solver) Instance() *mmlp.Instance {
 	return s.in
 }
 
-// Graph returns the communication hypergraph the session solves over.
-// Weight updates never change it; a topology update replaces it (the
-// returned value is an immutable snapshot of the structure at call
-// time).
+// Graph returns the communication hypergraph the session solves over,
+// with its CSR carrying the current coefficients. The returned value is
+// an immutable snapshot of the structure at call time: later weight and
+// topology updates never show through it.
 func (s *Solver) Graph() *hypergraph.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.g
+	return s.currentGraph()
 }
 
 // Snapshot returns the session's current instance and hypergraph as one
 // consistent pair — unlike separate Instance and Graph calls, no update
-// can interleave between the two. Both values are immutable snapshots.
+// can interleave between the two. Both values are immutable snapshots,
+// and the graph's CSR holds the instance's coefficients.
 func (s *Solver) Snapshot() (*mmlp.Instance, *hypergraph.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.in, s.g
+	return s.in, s.currentGraph()
+}
+
+// currentGraph returns s.g rebound to the current CSR. A weight update
+// patches a private clone of the CSR, leaving s.g's CSR at the
+// coefficients of the last hand-out; the rebind keeps the adjacency (a
+// PatchTopo that touches no vertex) and hands the clone out, so the next
+// weight update must clone again before patching in place. Callers hold
+// s.mu.
+func (s *Solver) currentGraph() *hypergraph.Graph {
+	if c := s.g.CSR(); c != nil && c != s.csr {
+		s.g = s.g.PatchTopo(s.csr, nil)
+		s.csrOwned = false
+	}
+	return s.g
 }
 
 // Cache returns the session's shared solve cache. It holds exactly the

@@ -415,3 +415,87 @@ func TestCertificateWithAgreement(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionSnapshotMatchesFreeFunctions is the snapshot oracle: the
+// free functions over Snapshot() — and over Graph() with Instance() —
+// see the session's current coefficients, so they equal the session bit
+// for bit after every weight and topology patch. A snapshot taken before
+// a later weight patch keeps solving the coefficients it was taken at.
+func TestSessionSnapshotMatchesFreeFunctions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{RandomWeights: true, Rng: rng})
+	s := NewSolver(in, hypergraph.Options{})
+	radii := []int{1, 2}
+	type frozen struct {
+		in *mmlp.Instance
+		g  *hypergraph.Graph
+		x  map[int]*AverageResult
+	}
+	check := func(label string) frozen {
+		t.Helper()
+		sin, sg := s.Snapshot()
+		if s.Graph() != sg || s.Instance() != sin {
+			t.Fatalf("%s: Graph()/Instance() disagree with Snapshot()", label)
+		}
+		safe, flat := s.Safe(), SafeFlat(sg.CSR())
+		for v, want := range Safe(sin) {
+			if safe[v] != want || flat[v] != want {
+				t.Fatalf("%s: safe[%d] = %v (session) / %v (snapshot CSR), want %v", label, v, safe[v], flat[v], want)
+			}
+		}
+		f := frozen{in: sin, g: sg, x: map[int]*AverageResult{}}
+		for _, radius := range radii {
+			want, err := s.LocalAverage(radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := LocalAverageOpt(sin, sg, radius, AverageOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAverageResult(t, label+"/LocalAverageOpt", got, want)
+			pb, rb, err := Certificate(sin, sg, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pb != want.PartyBound || rb != want.ResourceBound {
+				t.Fatalf("%s: Certificate = (%v,%v), want (%v,%v)", label, pb, rb, want.PartyBound, want.ResourceBound)
+			}
+			f.x[radius] = got
+		}
+		return f
+	}
+	// unchanged requires an old snapshot to solve exactly as when taken.
+	unchanged := func(label string, f frozen) {
+		t.Helper()
+		for _, radius := range radii {
+			got, err := LocalAverageOpt(f.in, f.g, radius, AverageOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAverageResult(t, label, got, f.x[radius])
+		}
+	}
+	prev := check("initial")
+	mirror := in
+	for step := 0; step < 3; step++ {
+		deltas := randomDeltas(mirror, rng, 1+rng.Intn(3))
+		if err := s.UpdateWeights(deltas); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("snapshot before weight patch", prev)
+		prev = check("after weight patch")
+		if err := s.UpdateWeights(randomDeltas(mirror, rng, 1)); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("snapshot before second weight patch", prev)
+		check("after second weight patch")
+		mirror = s.Instance()
+		ops, next := gen.RandomTopoBatch(mirror, rng, 1+rng.Intn(3))
+		if _, err := s.UpdateTopology(ops); err != nil {
+			t.Fatal(err)
+		}
+		mirror = next
+		prev = check("after topology patch")
+	}
+}

@@ -54,20 +54,17 @@ func mustNetwork(t *testing.T, in *mmlp.Instance, g *hypergraph.Graph) *Network 
 }
 
 // TestEnginesAgreeWithCore checks the central contract of the package:
-// both engines produce outputs bit-identical to each other, to the
-// centralised safe algorithm, and to the centralised Theorem-3 averaging
-// algorithm, on torus, cycle and random instances.
+// the sequential engine produces outputs bit-identical to the
+// centralised safe algorithm and to the centralised Theorem-3 averaging
+// algorithm, and the sharded engine reproduces its outputs and cost
+// trace, on torus, cycle, random and geometric instances.
 func TestEnginesAgreeWithCore(t *testing.T) {
 	for _, tc := range testCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := fullGraph(tc.in)
 			nw := mustNetwork(t, tc.in, g)
 
-			seq, err := nw.RunSequential(SafeProtocol{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := nw.RunGoroutines(SafeProtocol{})
+			seq, err := nw.runSequential(SafeProtocol{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,17 +73,10 @@ func TestEnginesAgreeWithCore(t *testing.T) {
 				if seq.X[v] != want[v] {
 					t.Fatalf("safe: sequential diverged from core at %d: %v vs %v", v, seq.X[v], want[v])
 				}
-				if par.X[v] != seq.X[v] {
-					t.Fatalf("safe: goroutine engine diverged at %d", v)
-				}
 			}
 
 			for _, R := range tc.radii {
-				seq, err := nw.RunSequential(AverageProtocol{Radius: R})
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := nw.RunGoroutines(AverageProtocol{Radius: R})
+				seq, err := nw.runSequential(AverageProtocol{Radius: R})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,15 +88,9 @@ func TestEnginesAgreeWithCore(t *testing.T) {
 					if seq.X[v] != avg.X[v] {
 						t.Fatalf("R=%d: sequential diverged from core at %d: %v vs %v", R, v, seq.X[v], avg.X[v])
 					}
-					if par.X[v] != seq.X[v] {
-						t.Fatalf("R=%d: goroutine engine diverged at %d", R, v)
-					}
-				}
-				if !tracesEqual(par, seq) {
-					t.Fatalf("R=%d: traces diverge: seq %+v vs par %+v", R, seq, par)
 				}
 				for _, shards := range shardCounts {
-					sh, err := nw.RunSharded(AverageProtocol{Radius: R}, shards)
+					sh, err := nw.runSharded(AverageProtocol{Radius: R}, shards)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,13 +131,13 @@ func TestShardedEngineStress(t *testing.T) {
 	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{})
 	g := fullGraph(in)
 	nw := mustNetwork(t, in, g)
-	first, err := nw.RunSequential(AverageProtocol{Radius: 1})
+	first, err := nw.runSequential(AverageProtocol{Radius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{0, 1, 2, 5, 64} {
 		for rep := 0; rep < 2; rep++ {
-			tr, err := nw.RunSharded(AverageProtocol{Radius: 1}, shards)
+			tr, err := nw.runSharded(AverageProtocol{Radius: 1}, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +157,7 @@ func TestTraceAccounting(t *testing.T) {
 	g := fullGraph(in)
 	nw := mustNetwork(t, in, g)
 
-	safe, err := nw.RunSequential(SafeProtocol{})
+	safe, err := nw.runSequential(SafeProtocol{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +165,7 @@ func TestTraceAccounting(t *testing.T) {
 		t.Fatalf("safe should be silent, got %+v", safe)
 	}
 
-	avg, err := nw.RunSequential(AverageProtocol{Radius: 1})
+	avg, err := nw.runSequential(AverageProtocol{Radius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,34 +187,6 @@ func TestTraceAccounting(t *testing.T) {
 	}
 	if avg.Payload < wantPayload {
 		t.Fatalf("payload %d below the %d records the nodes must have received", avg.Payload, wantPayload)
-	}
-}
-
-// TestGoroutineEngineParallelStress runs the goroutine engine on a
-// larger instance several times; under `go test -race` this exercises
-// the barrier and the outbox handoff for data races.
-func TestGoroutineEngineParallelStress(t *testing.T) {
-	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{})
-	g := fullGraph(in)
-	nw := mustNetwork(t, in, g)
-	var first *Trace
-	for rep := 0; rep < 3; rep++ {
-		tr, err := nw.RunGoroutines(AverageProtocol{Radius: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = tr
-			continue
-		}
-		for v := range tr.X {
-			if tr.X[v] != first.X[v] {
-				t.Fatalf("rep %d: nondeterministic output at node %d", rep, v)
-			}
-		}
-		if tr.Messages != first.Messages || tr.Payload != first.Payload {
-			t.Fatalf("rep %d: nondeterministic accounting", rep)
-		}
 	}
 }
 
@@ -315,11 +271,11 @@ func TestStabilizingFaultFree(t *testing.T) {
 func TestStabilizingProtocolUnderFloodingEngines(t *testing.T) {
 	in, _ := gen.Cycle(16, gen.LatticeOptions{})
 	nw := mustNetwork(t, in, fullGraph(in))
-	a, err := nw.RunSequential(AverageProtocol{Radius: 1})
+	a, err := nw.runSequential(AverageProtocol{Radius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := nw.RunSequential(StabilizingAverage{Radius: 1})
+	s, err := nw.runSequential(StabilizingAverage{Radius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +297,10 @@ func TestValidation(t *testing.T) {
 		t.Fatal("nil inputs accepted")
 	}
 	nw := mustNetwork(t, in, fullGraph(in))
-	if _, err := nw.RunSequential(nil); err == nil {
+	if _, err := nw.runSequential(nil); err == nil {
 		t.Fatal("nil protocol accepted")
 	}
-	if _, err := nw.RunSequential(AverageProtocol{Radius: -1}); err == nil {
+	if _, err := nw.runSequential(AverageProtocol{Radius: -1}); err == nil {
 		t.Fatal("negative radius accepted")
 	}
 	if _, err := nw.RunStabilizing(StabilizingAverage{Radius: 1}, 0, 0, nil); err == nil {
@@ -375,30 +331,26 @@ func TestSessionNetworkAgreement(t *testing.T) {
 			}
 			for _, radius := range tc.radii {
 				proto := AverageProtocol{Radius: radius}
-				ref, err := plain.RunSequential(proto)
+				ref, err := plain.runSequential(proto)
 				if err != nil {
 					t.Fatal(err)
 				}
-				engines := []struct {
-					name string
-					run  func() (*Trace, error)
-				}{
-					{"sequential", func() (*Trace, error) { return snw.RunSequential(proto) }},
-					{"goroutines", func() (*Trace, error) { return snw.RunGoroutines(proto) }},
-					{"sharded3", func() (*Trace, error) { return snw.RunSharded(proto, 3) }},
-				}
-				for _, e := range engines {
-					tr, err := e.run()
+				for _, name := range Engines() {
+					eng, err := New(name, Options{Shards: 3})
 					if err != nil {
-						t.Fatalf("%s: %v", e.name, err)
+						t.Fatal(err)
 					}
-					if tr.Rounds != ref.Rounds || tr.Messages != ref.Messages ||
-						tr.Payload != ref.Payload || tr.MaxNodePayload != ref.MaxNodePayload {
-						t.Errorf("%s R=%d: trace diverged: %+v vs %+v", e.name, radius, tr, ref)
+					tr, err := eng.Run(snw, proto)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if eng.CostExact() && (tr.Rounds != ref.Rounds || tr.Messages != ref.Messages ||
+						tr.Payload != ref.Payload || tr.MaxNodePayload != ref.MaxNodePayload) {
+						t.Errorf("%s R=%d: trace diverged: %+v vs %+v", name, radius, tr, ref)
 					}
 					for v := range ref.X {
 						if tr.X[v] != ref.X[v] {
-							t.Fatalf("%s R=%d: X[%d] = %v, want %v", e.name, radius, v, tr.X[v], ref.X[v])
+							t.Fatalf("%s R=%d: X[%d] = %v, want %v", name, radius, v, tr.X[v], ref.X[v])
 						}
 					}
 				}

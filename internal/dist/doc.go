@@ -29,13 +29,19 @@
 //
 // # Engines
 //
-// Network.RunSequential executes a protocol in a single goroutine,
-// visiting nodes in ascending order: the deterministic reference.
-// Network.RunGoroutines runs one goroutine per agent with a reusable
-// round barrier; since every node's merge and output are pure functions
-// of deterministically ordered messages, its results — including the
-// cost accounting — are bit-for-bit identical to the sequential engine
-// under any goroutine scheduling.
+// New constructs an engine by name; Engines lists the names. The
+// sequential engine executes a protocol in a single goroutine, visiting
+// nodes in ascending order: the deterministic reference. The sharded
+// engine runs the same double-buffered rounds on a work-stealing pool
+// of P workers separated by a round barrier, and the partitioned engine
+// splits the agents into contiguous member slices that exchange
+// boundary outboxes through a Transport — in-process here, over a
+// TCPMesh between cluster workers (Network.RunPartitioned). Since every
+// node's merge and output are pure functions of deterministically
+// ordered messages, their results — including the cost accounting —
+// are bit-for-bit identical to the sequential engine under any
+// scheduling. The stabilizing engine runs the self-stabilising mode
+// below fault-free: the same outputs, a different cost model.
 //
 // # Self-stabilisation
 //

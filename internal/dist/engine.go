@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Engine executes protocols over a Network. Every engine produces X
 // vectors bit-identical to the sequential reference for every protocol;
@@ -16,7 +12,7 @@ import (
 // Engines are stateless and safe for concurrent use on distinct
 // Networks; a single Network must not host two runs at once.
 type Engine interface {
-	// Name returns the registry name the engine was constructed under.
+	// Name returns the name the engine was constructed under (see New).
 	Name() string
 	// Run executes one protocol over the network.
 	Run(nw *Network, p Protocol) (*Trace, error)
@@ -38,91 +34,46 @@ type Options struct {
 	Rounds int
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func(Options) (Engine, error){}
-)
-
-// Register makes an engine constructor available under a name. It
-// panics on a duplicate name or nil constructor — registration is a
-// program-initialisation concern, exactly like http.Handle.
-func Register(name string, ctor func(Options) (Engine, error)) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if ctor == nil {
-		panic("dist: Register with nil constructor")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("dist: Register called twice for engine %q", name))
-	}
-	registry[name] = ctor
-}
-
-// New constructs a registered engine by name. The built-in names are
-// "sequential", "goroutines", "sharded", "partitioned" and
-// "stabilizing".
+// New constructs an engine by name: "sequential" (the single-goroutine
+// reference), "sharded" (a work-stealing pool of Options.Shards
+// workers), "partitioned" (Options.Shards members exchanging boundary
+// outboxes over an in-process loopback transport) or "stabilizing"
+// (the self-stabilising mode run fault-free for Options.Rounds).
 func New(name string, opt Options) (Engine, error) {
-	registryMu.RLock()
-	ctor, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown engine %q (registered: %v)", name, Engines())
+	switch name {
+	case "partitioned", "sequential", "sharded", "stabilizing":
+		return engine{name: name, opt: opt}, nil
 	}
-	return ctor(opt)
+	return nil, fmt.Errorf("dist: unknown engine %q (known: %v)", name, Engines())
 }
 
-// Engines returns the registered engine names in sorted order.
+// Engines returns the engine names New accepts, in sorted order.
 func Engines() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	return []string{"partitioned", "sequential", "sharded", "stabilizing"}
+}
+
+// engine is every built-in engine: its name selects the run function.
+type engine struct {
+	name string
+	opt  Options
+}
+
+func (e engine) Name() string { return e.name }
+
+// CostExact is false only for the stabilizing engine, which exchanges
+// full tables every round.
+func (e engine) CostExact() bool { return e.name != "stabilizing" }
+
+func (e engine) Run(nw *Network, p Protocol) (*Trace, error) {
+	switch e.name {
+	case "sequential":
+		return nw.runSequential(p)
+	case "sharded":
+		return nw.runSharded(p, e.opt.Shards)
+	case "partitioned":
+		return nw.runPartitionedLoopback(p, e.opt.Shards)
 	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("sequential", func(Options) (Engine, error) {
-		return engineFunc{name: "sequential", exact: true,
-			run: (*Network).runSequential}, nil
-	})
-	Register("goroutines", func(Options) (Engine, error) {
-		return engineFunc{name: "goroutines", exact: true,
-			run: (*Network).runGoroutines}, nil
-	})
-	Register("sharded", func(opt Options) (Engine, error) {
-		return engineFunc{name: "sharded", exact: true,
-			run: func(nw *Network, p Protocol) (*Trace, error) {
-				return nw.runSharded(p, opt.Shards)
-			}}, nil
-	})
-	Register("partitioned", func(opt Options) (Engine, error) {
-		return engineFunc{name: "partitioned", exact: true,
-			run: func(nw *Network, p Protocol) (*Trace, error) {
-				return nw.runPartitionedLoopback(p, opt.Shards)
-			}}, nil
-	})
-	Register("stabilizing", func(opt Options) (Engine, error) {
-		return engineFunc{name: "stabilizing", exact: false,
-			run: func(nw *Network, p Protocol) (*Trace, error) {
-				return nw.runStabilizingOnce(p, opt.Rounds)
-			}}, nil
-	})
-}
-
-// engineFunc adapts one run function to the Engine interface.
-type engineFunc struct {
-	name  string
-	exact bool
-	run   func(*Network, Protocol) (*Trace, error)
-}
-
-func (e engineFunc) Name() string    { return e.name }
-func (e engineFunc) CostExact() bool { return e.exact }
-func (e engineFunc) Run(nw *Network, p Protocol) (*Trace, error) {
-	return e.run(nw, p)
+	return nw.runStabilizingOnce(p, e.opt.Rounds)
 }
 
 // runStabilizingOnce adapts the fault-injection engine to the one-shot

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestEngineRegistryNames pins the built-in registry contents (sorted)
-// so a renamed or dropped engine fails loudly.
+// TestEngineRegistryNames pins the engine names (sorted) so a renamed or
+// dropped engine fails loudly.
 func TestEngineRegistryNames(t *testing.T) {
-	want := []string{"goroutines", "partitioned", "sequential", "sharded", "stabilizing"}
+	want := []string{"partitioned", "sequential", "sharded", "stabilizing"}
 	if got := Engines(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
 	}
@@ -19,24 +19,12 @@ func TestEngineRegistryNames(t *testing.T) {
 
 func TestEngineRegistryErrors(t *testing.T) {
 	if _, err := New("nonexistent", Options{}); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("unknown engine error should list registered names, got %v", err)
+		t.Fatalf("unknown engine error should list the known names, got %v", err)
 	}
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate", func() {
-		Register("sequential", func(Options) (Engine, error) { return nil, nil })
-	})
-	mustPanic("nil ctor", func() { Register("fresh-name", nil) })
 }
 
-// TestEngineConformance is the registry-wide conformance suite: every
-// registered engine must reproduce the sequential reference bit for bit
+// TestEngineConformance is the engine-wide conformance suite: every
+// engine New accepts must reproduce the sequential reference bit for bit
 // on every test family — the full trace for cost-exact engines, every
 // output bit for the rest — for both protocols, on plain networks.
 func TestEngineConformance(t *testing.T) {

@@ -91,23 +91,15 @@ func goldenChurn(in *mmlp.Instance) []mmlp.TopoUpdate {
 	}
 }
 
-// runAllEngines executes the protocol on the deprecated entry points and
-// on every engine in the registry, requires bit-identical results, and
-// returns the common trace. Engines whose cost accounting matches the
+// runAllEngines executes the protocol on every engine New accepts,
+// requires bit-identical results, and returns the common trace. Engines whose cost accounting matches the
 // sequential reference (CostExact) must reproduce the full trace;
 // others (stabilizing) must still reproduce every output bit.
 func runAllEngines(t *testing.T, label string, nw *Network, p Protocol) *Trace {
 	t.Helper()
-	seq, err := nw.RunSequential(p)
+	seq, err := nw.runSequential(p)
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", label, err)
-	}
-	for _, shards := range []int{1, 3} {
-		sh, err := nw.RunSharded(p, shards)
-		if err != nil {
-			t.Fatalf("%s: sharded(%d): %v", label, shards, err)
-		}
-		sameTraceGolden(t, label+"/sharded", sh, seq)
 	}
 	for _, name := range Engines() {
 		eng, err := New(name, Options{Shards: 3})
@@ -246,7 +238,7 @@ func TestSessionNetworkChurnAgainstEngines(t *testing.T) {
 	proto := AverageProtocol{Radius: 1}
 	mirror := in
 	for round := 0; round < 4; round++ {
-		preChurn, err := nw.RunSequential(proto)
+		preChurn, err := nw.runSequential(proto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +249,7 @@ func TestSessionNetworkChurnAgainstEngines(t *testing.T) {
 		// Before Resync the network must keep serving its snapshot: the
 		// session's patched ball indexes describe a different graph than
 		// the gathered records and must not leak into the run.
-		stale, err := nw.RunSequential(proto)
+		stale, err := nw.runSequential(proto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +263,7 @@ func TestSessionNetworkChurnAgainstEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := coldNW.RunSequential(proto)
+		want, err := coldNW.runSequential(proto)
 		if err != nil {
 			t.Fatal(err)
 		}

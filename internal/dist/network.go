@@ -31,8 +31,8 @@ type Network struct {
 
 // SetObs attaches (or, with nil, detaches) engine metrics: runs per
 // engine, rounds, delivered messages and payload records, per-round
-// message counts (sequential engine) and barrier wait time (goroutine
-// and sharded engines). Metrics never change any output bit. Not safe
+// message counts (sequential engine) and barrier wait time (sharded
+// engine). Metrics never change any output bit. Not safe
 // to call concurrently with a run.
 func (nw *Network) SetObs(m *obs.DistMetrics) { nw.obsM = m }
 

@@ -30,9 +30,8 @@ func TestEnginesObsBitIdentity(t *testing.T) {
 		name string
 		run  func(nw *Network) (*Trace, error)
 	}{
-		{"sequential", func(nw *Network) (*Trace, error) { return nw.RunSequential(p) }},
-		{"goroutines", func(nw *Network) (*Trace, error) { return nw.RunGoroutines(p) }},
-		{"sharded", func(nw *Network) (*Trace, error) { return nw.RunSharded(p, 4) }},
+		{"sequential", func(nw *Network) (*Trace, error) { return nw.runSequential(p) }},
+		{"sharded", func(nw *Network) (*Trace, error) { return nw.runSharded(p, 4) }},
 	}
 	for _, e := range engines {
 		want, err := e.run(plain)
@@ -61,8 +60,8 @@ func TestEnginesObsBitIdentity(t *testing.T) {
 			m.Messages.Value(), m.Records.Value(), m.Rounds.Value())
 	}
 	// The sequential engine observes per-round message counts; the
-	// barrier engines record wait time (2 awaits per node or shard per
-	// round, all strictly positive).
+	// sharded engine records barrier wait time (2 awaits per shard per
+	// round).
 	if m.RoundMessages.Count() == 0 {
 		t.Error("no per-round message counts recorded")
 	}

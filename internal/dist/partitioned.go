@@ -59,8 +59,8 @@ type PartialTrace struct {
 // record ROMs, so structure is all the wire carries), and delivers to
 // its own nodes in ascending neighbour order from local outboxes and
 // decoded remote ones. Delivery order, merge order and output
-// arithmetic are untouched, so the merged run is bit-identical to
-// RunSequential for every partition count and any Transport.
+// arithmetic are untouched, so the merged run is bit-identical to the
+// sequential engine for every partition count and any Transport.
 //
 // The transport must span exactly pt.Members members and deliver
 // pt.Self's frames; every member must run the same protocol over an

@@ -26,7 +26,7 @@ func (nd *floodNode) stageOutbox() {
 }
 
 // deliver merges one neighbour's staged message; unseen records join the
-// next frontier. Both engines deliver neighbours in ascending order, so
+// next frontier. Every engine delivers neighbours in ascending order, so
 // the merge — and with it the whole run — is deterministic.
 func (nd *floodNode) deliver(msg []*agentRecord) {
 	nd.msgs++
@@ -40,17 +40,9 @@ func (nd *floodNode) deliver(msg []*agentRecord) {
 	}
 }
 
-// RunSequential executes the protocol round by round in a single
+// runSequential executes the protocol round by round in a single
 // goroutine, visiting nodes in ascending order: the deterministic
 // reference engine every other engine is tested against.
-//
-// Deprecated: construct the engine through the registry instead —
-// New("sequential", Options{}) — which all new call sites use. The
-// wrapper remains for source compatibility and behaves identically.
-func (nw *Network) RunSequential(p Protocol) (*Trace, error) {
-	return nw.runSequential(p)
-}
-
 func (nw *Network) runSequential(p Protocol) (*Trace, error) {
 	nodes, err := nw.newFloodNodes(p)
 	if err != nil {

@@ -3,11 +3,56 @@ package dist
 import (
 	"runtime"
 	"sync"
+	"time"
 
+	"maxminlp/internal/obs"
 	"maxminlp/internal/sched"
 )
 
-// RunSharded executes the protocol with a pool of P workers stealing
+// barrier is a reusable synchronisation point for n goroutines: await
+// blocks until all n have arrived, then releases the generation. When h
+// is non-nil, each await records how long the caller waited — the skew
+// between the fastest and slowest participant of the round.
+type barrier struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	n     int
+	count int
+	gen   int
+	h     *obs.Histogram
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *barrier) await() {
+	var t0 time.Time
+	if b.h != nil {
+		t0 = time.Now()
+	}
+	b.mu.Lock()
+	gen := b.gen
+	b.count++
+	if b.count == b.n {
+		b.count = 0
+		b.gen++
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	} else {
+		for gen == b.gen {
+			b.cond.Wait()
+		}
+		b.mu.Unlock()
+	}
+	if b.h != nil {
+		b.h.ObserveDuration(time.Since(t0))
+	}
+}
+
+// runSharded executes the protocol with a pool of P workers stealing
 // node tasks from per-worker deques seeded in contiguous shards — the
 // layout of the CSR index, so a worker's own nodes (and most of their
 // neighbours, on lattice-like graphs) sit in one contiguous block of the
@@ -23,21 +68,10 @@ import (
 // by exactly one worker per phase, reads of foreign outboxes are
 // separated from their writes by the barrier, and each node merges its
 // neighbours in ascending order — so the run is race-free and its
-// outputs and cost trace are bit-for-bit identical to RunSequential and
-// RunGoroutines for every shard count and steal interleaving.
-//
-// Compared to RunGoroutines this trades the goroutine-per-agent model's
-// fidelity (n goroutines, 2n barrier waits per round) for throughput:
-// P goroutines and 2P barrier waits per round, with each worker sweeping
-// its own shard in index order before helping the stragglers.
-//
-// Deprecated: construct the engine through the registry instead —
-// New("sharded", Options{Shards: shards}). The wrapper remains for
-// source compatibility and behaves identically.
-func (nw *Network) RunSharded(p Protocol, shards int) (*Trace, error) {
-	return nw.runSharded(p, shards)
-}
-
+// outputs and cost trace are bit-for-bit identical to runSequential for
+// every shard count and steal interleaving: P goroutines and 2P barrier
+// waits per round, with each worker sweeping its own shard in index
+// order before helping the stragglers.
 func (nw *Network) runSharded(p Protocol, shards int) (*Trace, error) {
 	nodes, err := nw.newFloodNodes(p)
 	if err != nil {

@@ -111,7 +111,7 @@ type StabilizingRun struct {
 	// StableFrom ≤ faultRound + Horizon().
 	StableFrom int
 	// Reference is the fault-free output vector the run stabilises to,
-	// bit-identical to RunSequential of the same protocol.
+	// bit-identical to the sequential engine's run of the same protocol.
 	Reference []float64
 	// Rounds and FaultRound echo the request.
 	Rounds     int
@@ -138,7 +138,7 @@ func (nw *Network) RunStabilizing(p Protocol, rounds, faultRound int, inject fun
 		return nil, fmt.Errorf("dist: rounds must be ≥ 1, got %d", rounds)
 	}
 	// Computing the fault-free reference also validates the protocol.
-	ref, err := nw.RunSequential(p)
+	ref, err := nw.runSequential(p)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ var All = []Experiment{
 	{"E5", "Local averaging: measured ratio vs γ(R−1)γ(R) bound (Theorem 3)", E5LocalAverage},
 	{"E6", "Sensor-network lifetime: optimal vs safe vs local averaging (§2)", E6SensorNet},
 	{"E7", "Per-node cost stays constant as the network grows (§1.1)", E7Scaling},
-	{"E8", "Goroutine message passing agrees with the reference engine (§1.5)", E8Distributed},
+	{"E8", "Partitioned message passing agrees with the reference engine (§1.5)", E8Distributed},
 	{"E9", "Self-stabilisation: recovery within the horizon after faults (§1.1)", E9SelfStabilization},
 	{"E10", "Open question probe: ΔVI = ΔVK = 2 instances (§4)", E10OpenQuestion},
 	{"E11", "Adaptive radius: Theorem 3 as a local approximation scheme", E11AdaptiveScheme},
@@ -298,8 +298,8 @@ func E7Scaling(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
 		Title:   "Per-node cost as the network grows (local ⇒ flat)",
-		Columns: []string{"agents", "safe ns/agent", "avg(R=1) µs/agent", "LP dense ms", "LP revised ms"},
-		Note:    "safe and avg columns stay roughly constant; both centralised LP columns grow superlinearly (revised < dense)",
+		Columns: []string{"agents", "safe ns/agent", "avg(R=1) µs/agent", "LP ms"},
+		Note:    "safe and avg columns stay roughly constant; the centralised LP column grows superlinearly",
 	}
 	for _, side := range []int{8, 12, 16, 24} {
 		in, _ := gen.Torus([]int{side, side}, gen.LatticeOptions{})
@@ -323,28 +323,31 @@ func E7Scaling(seed int64) (*Table, error) {
 		if _, err := lp.SolveMaxMin(in); err != nil {
 			return nil, err
 		}
-		lpDense := time.Since(start).Seconds() * 1e3
+		lpMS := time.Since(start).Seconds() * 1e3
 
-		start = time.Now()
-		if _, err := lp.SolveMaxMinWith(in, lp.BackendRevised); err != nil {
-			return nil, err
-		}
-		lpRevised := time.Since(start).Seconds() * 1e3
-
-		t.AddRow(I(in.NumAgents()), F(safePer), F(avgPer), F(lpDense), F(lpRevised))
+		t.AddRow(I(in.NumAgents()), F(safePer), F(avgPer), F(lpMS))
 	}
 	return t, nil
 }
 
-// E8Distributed runs both protocols under the goroutine engine and the
-// sequential reference engine and verifies exact agreement, reporting
-// rounds and message counts.
+// E8Distributed runs both protocols under the partitioned engine — the
+// round loop cluster workers run, here with three members over the
+// in-process transport — and the sequential reference engine, and
+// verifies exact agreement, reporting rounds and message counts.
 func E8Distributed(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
-		Title:   "Distributed execution: goroutine engine vs reference engine",
+		Title:   "Distributed execution: partitioned engine vs reference engine",
 		Columns: []string{"instance", "protocol", "rounds", "messages", "payload", "max/node", "agree", "ω"},
-		Note:    "'agree' requires bit-identical outputs between the two engines; payload counts agent records delivered",
+		Note:    "'agree' requires outputs and cost traces bit-identical between the two engines; payload counts agent records delivered",
+	}
+	seqEng, err := dist.New("sequential", dist.Options{})
+	if err != nil {
+		return nil, err
+	}
+	partEng, err := dist.New("partitioned", dist.Options{Shards: 3})
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	type namedInstance struct {
@@ -369,20 +372,15 @@ func E8Distributed(seed int64) (*Table, error) {
 			{"safe", dist.SafeProtocol{}},
 			{"average R=1", dist.AverageProtocol{Radius: 1}},
 		} {
-			seq, err := nw.RunSequential(pc.proto)
+			seq, err := seqEng.Run(nw, pc.proto)
 			if err != nil {
 				return nil, err
 			}
-			par, err := nw.RunGoroutines(pc.proto)
+			part, err := partEng.Run(nw, pc.proto)
 			if err != nil {
 				return nil, err
 			}
-			agree := true
-			for v := range seq.X {
-				if seq.X[v] != par.X[v] {
-					agree = false
-				}
-			}
+			agree := sameTrace(part, seq)
 			t.AddRow(ni.name, pc.name, I(seq.Rounds), I(seq.Messages), I(seq.Payload), I(seq.MaxNodePayload), B(agree), F(ni.in.Objective(seq.X)))
 		}
 	}
@@ -701,16 +699,14 @@ func E14SessionProfile(seed int64) (*Table, error) {
 }
 
 // E12ShardedEngine measures the sharded worker-pool engine against the
-// sequential reference and the goroutine-per-agent engine on the same
-// protocol: every engine must produce bit-identical outputs and cost
-// traces, and the sharded pool should approach the goroutine engine's
-// parallel speedup with P goroutines instead of n. The wall-clock
-// columns are indicative (single run, shared machine); the agreement
-// column is the check.
+// sequential reference on the same protocol: every shard count must
+// produce bit-identical outputs and cost traces. The wall-clock columns
+// are indicative (single run, shared machine); the agreement column is
+// the check.
 func E12ShardedEngine(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
-		Title:   "Sharded worker-pool engine vs reference engines",
+		Title:   "Sharded worker-pool engine vs the sequential reference",
 		Columns: []string{"instance", "engine", "wall ms", "speedup", "agree"},
 		Note:    "'agree' requires outputs and cost traces bit-identical to the sequential reference; speedup is sequential/engine wall time",
 	}
@@ -731,38 +727,26 @@ func E12ShardedEngine(seed int64) (*Table, error) {
 		}
 		proto := dist.AverageProtocol{Radius: 1}
 
-		start := time.Now()
-		ref, err := nw.RunSequential(proto)
+		run := func(name string, shards int) (*dist.Trace, float64, error) {
+			eng, err := dist.New(name, dist.Options{Shards: shards})
+			if err != nil {
+				return nil, 0, err
+			}
+			start := time.Now()
+			tr, err := eng.Run(nw, proto)
+			return tr, time.Since(start).Seconds() * 1e3, err
+		}
+		ref, seqMS, err := run("sequential", 0)
 		if err != nil {
 			return nil, err
 		}
-		seqMS := time.Since(start).Seconds() * 1e3
 		t.AddRow(ni.name, "sequential", F(seqMS), F(1), B(true))
-
-		engines := []struct {
-			name string
-			run  func() (*dist.Trace, error)
-		}{
-			{"goroutines", func() (*dist.Trace, error) { return nw.RunGoroutines(proto) }},
-			{"sharded P=2", func() (*dist.Trace, error) { return nw.RunSharded(proto, 2) }},
-			{"sharded P=4", func() (*dist.Trace, error) { return nw.RunSharded(proto, 4) }},
-			{"sharded P=8", func() (*dist.Trace, error) { return nw.RunSharded(proto, 8) }},
-		}
-		for _, e := range engines {
-			start = time.Now()
-			tr, err := e.run()
+		for _, shards := range []int{2, 4, 8} {
+			tr, ms, err := run("sharded", shards)
 			if err != nil {
 				return nil, err
 			}
-			ms := time.Since(start).Seconds() * 1e3
-			agree := tr.Rounds == ref.Rounds && tr.Messages == ref.Messages &&
-				tr.Payload == ref.Payload && tr.MaxNodePayload == ref.MaxNodePayload
-			for v := range ref.X {
-				if tr.X[v] != ref.X[v] {
-					agree = false
-				}
-			}
-			t.AddRow(ni.name, e.name, F(ms), F(seqMS/ms), B(agree))
+			t.AddRow(ni.name, fmt.Sprintf("sharded P=%d", shards), F(ms), F(seqMS/ms), B(sameTrace(tr, ref)))
 		}
 	}
 	return t, nil
@@ -846,4 +830,19 @@ func E15ChurnProfile(seed int64) (*Table, error) {
 			B(agree), I(st.CSRBuilds+st.BallIndexBuilds-warmStats.CSRBuilds-warmStats.BallIndexBuilds))
 	}
 	return t, nil
+}
+
+// sameTrace reports whether two traces carry bit-identical outputs and
+// the same rounds and cost accounting.
+func sameTrace(a, b *dist.Trace) bool {
+	if a.Rounds != b.Rounds || a.Messages != b.Messages ||
+		a.Payload != b.Payload || a.MaxNodePayload != b.MaxNodePayload {
+		return false
+	}
+	for v := range b.X {
+		if a.X[v] != b.X[v] {
+			return false
+		}
+	}
+	return true
 }

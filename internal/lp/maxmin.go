@@ -47,77 +47,6 @@ func SolveMaxMin(in *mmlp.Instance) (MaxMinResult, error) {
 	return MaxMinResult{X: sol.X[:n], Omega: sol.Value, Pivots: sol.Pivots}, nil
 }
 
-// Backend selects the simplex implementation used by SolveMaxMinWith.
-type Backend int8
-
-const (
-	// BackendDense is the condensed-tableau simplex (reference).
-	BackendDense Backend = iota
-	// BackendRevised is the revised simplex with sparse columns and an
-	// explicit basis inverse, an independent second implementation; it is
-	// slower than BackendDense on every torus BenchmarkLPBackends measures.
-	BackendRevised
-)
-
-// SolveMaxMinWith is SolveMaxMin with an explicit solver backend.
-func SolveMaxMinWith(in *mmlp.Instance, backend Backend) (MaxMinResult, error) {
-	n := in.NumAgents()
-	if in.NumParties() == 0 {
-		return MaxMinResult{X: make([]float64, n), Omega: math.Inf(1)}, nil
-	}
-	var sol Solution
-	var err error
-	switch backend {
-	case BackendRevised:
-		// Build the column-oriented form directly: the dense row
-		// materialisation of maxMinProblem costs O(rows·vars) memory,
-		// which the revised backend exists to avoid.
-		sol, err = SolveRevisedSparse(maxMinSparse(in))
-	default:
-		sol, err = Solve(maxMinProblem(in))
-	}
-	if err != nil {
-		return MaxMinResult{}, err
-	}
-	if sol.Status != Optimal {
-		return MaxMinResult{}, fmt.Errorf("lp: max-min LP reported %v", sol.Status)
-	}
-	return MaxMinResult{X: sol.X[:n], Omega: sol.Value, Pivots: sol.Pivots}, nil
-}
-
-// maxMinSparse builds the Section-1.3 LP in column-oriented form:
-// variables x_0..x_{n-1}, ω; rows are the resources followed by the
-// parties (ω − Σ c_kv x_v ≤ 0).
-func maxMinSparse(in *mmlp.Instance) *SparseProblem {
-	n := in.NumAgents()
-	nRes := in.NumResources()
-	nPar := in.NumParties()
-	sp := &SparseProblem{
-		Obj:  make([]float64, n+1),
-		Cols: make([][]SparseEntry, n+1),
-		Rels: make([]Rel, nRes+nPar),
-		RHS:  make([]float64, nRes+nPar),
-	}
-	sp.Obj[n] = 1
-	for i := 0; i < nRes; i++ {
-		sp.Rels[i] = LE
-		sp.RHS[i] = 1
-		for _, e := range in.Resource(i) {
-			sp.Cols[e.Agent] = append(sp.Cols[e.Agent], SparseEntry{Row: i, Val: e.Coeff})
-		}
-	}
-	for k := 0; k < nPar; k++ {
-		row := nRes + k
-		sp.Rels[row] = LE
-		sp.RHS[row] = 0
-		for _, e := range in.Party(k) {
-			sp.Cols[e.Agent] = append(sp.Cols[e.Agent], SparseEntry{Row: row, Val: -e.Coeff})
-		}
-		sp.Cols[n] = append(sp.Cols[n], SparseEntry{Row: row, Val: 1})
-	}
-	return sp
-}
-
 // maxMinProblem builds the LP of Section 1.3 with variables x_0..x_{n-1}, ω.
 func maxMinProblem(in *mmlp.Instance) *Problem {
 	n := in.NumAgents()

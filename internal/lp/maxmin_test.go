@@ -52,36 +52,64 @@ func TestSolveMaxMinNoParties(t *testing.T) {
 	}
 }
 
+// TestSolveMaxMinRatAgreesWithFloat checks SolveMaxMin against the exact
+// SolveMaxMinRat on random ring instances in two families: dyadic
+// resource coefficients with unit-coefficient parties, and arbitrary
+// float coefficients on both resources and parties.
 func TestSolveMaxMinRatAgreesWithFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 15; trial++ {
-		b := mmlp.NewBuilder(0)
-		n := 2 + rng.Intn(6)
-		agents := make([]int, n)
-		for i := range agents {
-			agents[i] = b.AddAgent()
+	unit := func(*rand.Rand) float64 { return 1 }
+	dyadic := func(rng *rand.Rand) float64 { return float64(1+rng.Intn(3)) / 2 }
+	uniform := func(rng *rand.Rand) float64 { return 0.5 + rng.Float64() }
+	families := []struct {
+		name            string
+		seed            int64
+		trials          int
+		maxAgents       int
+		resource, party func(*rand.Rand) float64
+		partyAgents     int
+	}{
+		{"dyadic", 20, 15, 6, dyadic, unit, 1},
+		{"non-uniform parties", 55, 12, 8, uniform, uniform, 2},
+	}
+	for _, fam := range families {
+		rng := rand.New(rand.NewSource(fam.seed))
+		for trial := 0; trial < fam.trials; trial++ {
+			b := mmlp.NewBuilder(0)
+			n := 2 + rng.Intn(fam.maxAgents)
+			agents := make([]int, n)
+			for i := range agents {
+				agents[i] = b.AddAgent()
+			}
+			for i := 0; i < n; i++ {
+				j := (i + 1) % n
+				b.AddResource(
+					mmlp.Entry{Agent: agents[i], Coeff: fam.resource(rng)},
+					mmlp.Entry{Agent: agents[j], Coeff: fam.resource(rng)},
+				)
+			}
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				first := rng.Intn(n)
+				var row []mmlp.Entry
+				for j := 0; j < fam.partyAgents && j < n; j++ {
+					row = append(row, mmlp.Entry{Agent: agents[(first+j)%n], Coeff: fam.party(rng)})
+				}
+				b.AddParty(row...)
+			}
+			in := b.MustBuild()
+			fres, err := SolveMaxMin(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rres, err := SolveMaxMinRat(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, _ := rres.Omega.Float64()
+			approx(t, fres.Omega, exact, 1e-6*(1+exact), fam.name+": float vs exact ω")
+			if v := in.Violation(fres.X); v > 1e-9 {
+				t.Fatalf("%s trial %d: float optimum infeasible by %v", fam.name, trial, v)
+			}
 		}
-		for i := 0; i < n; i++ {
-			j := (i + 1) % n
-			b.AddResource(
-				mmlp.Entry{Agent: agents[i], Coeff: float64(1+rng.Intn(3)) / 2},
-				mmlp.Entry{Agent: agents[j], Coeff: float64(1+rng.Intn(3)) / 2},
-			)
-		}
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			b.AddUniformParty(1, agents[rng.Intn(n)])
-		}
-		in := b.MustBuild()
-		fres, err := SolveMaxMin(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rres, err := SolveMaxMinRat(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, _ := rres.Omega.Float64()
-		approx(t, fres.Omega, exact, 1e-6, "float vs exact ω")
 	}
 }
 
@@ -237,66 +265,5 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Solve(p); err == nil {
 		t.Fatal("non-finite rhs must fail")
-	}
-}
-
-func TestBisectionTriangulatesSimplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 12; trial++ {
-		b := mmlp.NewBuilder(0)
-		n := 2 + rng.Intn(8)
-		for i := 0; i < n; i++ {
-			b.AddAgent()
-		}
-		for i := 0; i < n; i++ {
-			b.AddResource(
-				mmlp.Entry{Agent: i, Coeff: 0.5 + rng.Float64()},
-				mmlp.Entry{Agent: (i + 1) % n, Coeff: 0.5 + rng.Float64()},
-			)
-		}
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			b.AddParty(mmlp.Entry{Agent: rng.Intn(n), Coeff: 0.5 + rng.Float64()})
-		}
-		in := b.MustBuild()
-		simplex, err := SolveMaxMin(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bisect, err := SolveMaxMinBisect(in, 1e-7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(simplex.Omega-bisect.Omega) > 1e-5*(1+simplex.Omega) {
-			t.Fatalf("trial %d: simplex ω = %v, bisection ω = %v", trial, simplex.Omega, bisect.Omega)
-		}
-		if v := in.Violation(bisect.X); v > 1e-7 {
-			t.Fatalf("trial %d: bisection point infeasible: %v", trial, v)
-		}
-	}
-}
-
-func TestBisectionEdgeCases(t *testing.T) {
-	// No parties → +Inf.
-	b := mmlp.NewBuilder(1)
-	b.AddResource(mmlp.Entry{Agent: 0, Coeff: 1})
-	in := b.MustBuild()
-	res, err := SolveMaxMinBisect(in, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(res.Omega, 1) {
-		t.Fatalf("ω = %v, want +Inf", res.Omega)
-	}
-	// Bad tolerance.
-	if _, err := SolveMaxMinBisect(in, 0); err == nil {
-		t.Fatal("zero tolerance must fail")
-	}
-	// A party consisting only of an unconstrained agent → unbounded error.
-	b = mmlp.NewBuilder(2).AllowUnconstrained()
-	b.AddResource(mmlp.Entry{Agent: 0, Coeff: 1})
-	b.AddParty(mmlp.Entry{Agent: 1, Coeff: 1})
-	in = b.MustBuild()
-	if _, err := SolveMaxMinBisect(in, 1e-6); err == nil {
-		t.Fatal("unbounded instance must fail")
 	}
 }

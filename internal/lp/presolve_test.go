@@ -57,7 +57,6 @@ func TestZeroRowVerdicts(t *testing.T) {
 		"solve":     Solve,
 		"bland":     func(p *Problem) (Solution, error) { return SolveWithRule(p, BlandOnly) },
 		"workspace": func(p *Problem) (Solution, error) { return NewWorkspace().Solve(p) },
-		"revised":   SolveRevised,
 	}
 	for _, tc := range zeroRowCases() {
 		p := zeroRowProblem(tc.rel, tc.rhs)
@@ -102,32 +101,6 @@ func TestZeroRowRational(t *testing.T) {
 		if sol.Status != want {
 			t.Errorf("%s: rational status %v, want %v", tc.name, sol.Status, want)
 		}
-	}
-}
-
-// TestZeroRowSparseDirect: a SparseProblem built by hand (no dense
-// conversion) hits the revised solver's own zero-row guard.
-func TestZeroRowSparseDirect(t *testing.T) {
-	sp := &SparseProblem{
-		Obj:  []float64{1},
-		Cols: [][]SparseEntry{{{Row: 0, Val: 1}}}, // row 1 untouched by any column
-		Rels: []Rel{LE, GE},
-		RHS:  []float64{5, 1e-9},
-	}
-	sol, err := SolveRevisedSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Infeasible {
-		t.Fatalf("status %v, want Infeasible", sol.Status)
-	}
-	sp.RHS[1] = -2 // vacuous: 0 ≥ −2
-	sol, err = SolveRevisedSparse(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Value-5) > tol {
-		t.Fatalf("vacuous zero row: %v / %v", sol.Status, sol.Value)
 	}
 }
 
@@ -625,7 +598,7 @@ func checkDualsEither(t *testing.T, p *Problem, sol Solution) {
 }
 
 // TestPostsolveDualsAcrossSolvers: the same presolved problem solved by
-// the dense simplex, a reused Workspace, and the revised simplex — each
+// the dense simplex and by a reused Workspace — each
 // postsolved Solution must carry a valid dual certificate of the
 // original, with the eliminated EQ singleton's dual reconstructed (it is
 // nonzero here: the fixed variable is worth 2 per unit in the objective
@@ -650,7 +623,6 @@ func TestPostsolveDualsAcrossSolvers(t *testing.T) {
 	runs := map[string]func(*Problem) (Solution, error){
 		"dense":     Solve,
 		"workspace": ws.Solve,
-		"revised":   SolveRevised,
 	}
 	for name, solve := range runs {
 		sol, err := solve(ps.Reduced)

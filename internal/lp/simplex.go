@@ -83,8 +83,8 @@ type Solution struct {
 	Pivots int       // total simplex pivots performed
 
 	// Lazy dual sources: the tableau simplex defers dual extraction to the
-	// first Duals call (dws + the generation it solved in), the revised
-	// simplex installs a closure. Nil for non-optimal solutions.
+	// first Duals call (dws + the generation it solved in), Postsolve
+	// installs a closure. Nil for non-optimal solutions.
 	dws    *Workspace
 	dgen   uint64
 	dmin   bool
@@ -97,9 +97,9 @@ type Solution struct {
 // for the extraction. For tableau-simplex solutions obtained through a
 // reused Workspace, Duals must be called before the next solve on that
 // workspace (a stale read panics). The flip side of laziness: a retained
-// Solution keeps its solver state (the workspace tableau or the revised
-// factorisation) reachable; callers hoarding many Solutions should copy
-// the fields they need and drop the Solution itself.
+// Solution keeps the workspace tableau reachable; callers hoarding many
+// Solutions should copy the fields they need and drop the Solution
+// itself.
 func (s Solution) Duals() []float64 {
 	switch {
 	case s.dws != nil:

@@ -179,69 +179,125 @@ func TestSimplexDualsPacking(t *testing.T) {
 	approx(t, dualVal, sol.Value, tol, "strong duality")
 }
 
+// TestRatSimplexMatchesFloat checks the float simplex against the exact
+// rational one on two random LP families: maximisation over ≤ rows, and
+// min/max problems mixing ≤, ≥ and = rows under per-variable bounds,
+// whose statuses include Infeasible. Status must match, and an optimal
+// value must agree to tolerance.
 func TestRatSimplexMatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(5)
-		m := 1 + rng.Intn(6)
-		p := &Problem{Obj: make([]float64, n)}
-		for j := range p.Obj {
-			p.Obj[j] = float64(rng.Intn(9) + 1)
-		}
-		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(rng.Intn(4)) // may be zero
+	families := []struct {
+		name   string
+		seed   int64
+		trials int
+		gen    func(*rand.Rand) *Problem
+	}{
+		{"le", 42, 60, randomLEProblem},
+		{"mixed", 43, 120, randomMixedProblem},
+	}
+	for _, fam := range families {
+		rng := rand.New(rand.NewSource(fam.seed))
+		for trial := 0; trial < fam.trials; trial++ {
+			p := fam.gen(rng)
+			fsol, err := Solve(p)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", fam.name, trial, err)
 			}
-			nonzero := false
-			for _, a := range row {
-				if a != 0 {
-					nonzero = true
-				}
-			}
-			if !nonzero {
-				row[rng.Intn(n)] = 1
-			}
-			p.Constraints = append(p.Constraints, Constraint{
-				Coeffs: row, Rel: LE, RHS: float64(rng.Intn(10) + 1),
-			})
-		}
-		// Ensure boundedness: every variable in some row.
-		for j := 0; j < n; j++ {
-			covered := false
+			rp := &RatProblem{Obj: ratSlice(p.Obj), Minimize: p.Minimize}
 			for _, c := range p.Constraints {
-				if c.Coeffs[j] > 0 {
-					covered = true
-				}
+				rp.Constraints = append(rp.Constraints, RatConstraint{
+					Coeffs: ratSlice(c.Coeffs), Rel: c.Rel, RHS: floatRat(c.RHS),
+				})
 			}
-			if !covered {
-				row := make([]float64, n)
-				row[j] = 1
-				p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 5})
+			rsol, err := SolveRat(rp)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", fam.name, trial, err)
 			}
-		}
-		fsol, err := Solve(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		rp := &RatProblem{Obj: ratSlice(p.Obj)}
-		for _, c := range p.Constraints {
-			rp.Constraints = append(rp.Constraints, RatConstraint{
-				Coeffs: ratSlice(c.Coeffs), Rel: c.Rel, RHS: floatRat(c.RHS),
-			})
-		}
-		rsol, err := SolveRat(rp)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if fsol.Status != rsol.Status {
-			t.Fatalf("trial %d: float %v vs exact %v", trial, fsol.Status, rsol.Status)
-		}
-		if fsol.Status == Optimal {
-			exact, _ := rsol.Value.Float64()
-			approx(t, fsol.Value, exact, 1e-6, "objective agreement")
+			if fsol.Status != rsol.Status {
+				t.Fatalf("%s trial %d: float %v vs exact %v", fam.name, trial, fsol.Status, rsol.Status)
+			}
+			if fsol.Status == Optimal {
+				exact, _ := rsol.Value.Float64()
+				approx(t, fsol.Value, exact, 1e-6*(1+math.Abs(exact)), fam.name+" objective agreement")
+			}
 		}
 	}
+}
+
+// randomRow returns n small nonnegative integer coefficients, at least
+// one of them nonzero.
+func randomRow(rng *rand.Rand, n int) []float64 {
+	row := make([]float64, n)
+	nonzero := false
+	for j := range row {
+		row[j] = float64(rng.Intn(4)) // may be zero
+		if row[j] != 0 {
+			nonzero = true
+		}
+	}
+	if !nonzero {
+		row[rng.Intn(n)] = 1
+	}
+	return row
+}
+
+// randomLEProblem is a bounded maximisation over ≤ rows: every variable
+// appears in some row.
+func randomLEProblem(rng *rand.Rand) *Problem {
+	n := 1 + rng.Intn(5)
+	m := 1 + rng.Intn(6)
+	p := &Problem{Obj: make([]float64, n)}
+	for j := range p.Obj {
+		p.Obj[j] = float64(rng.Intn(9) + 1)
+	}
+	for i := 0; i < m; i++ {
+		p.Constraints = append(p.Constraints, Constraint{
+			Coeffs: randomRow(rng, n), Rel: LE, RHS: float64(rng.Intn(10) + 1),
+		})
+	}
+	for j := 0; j < n; j++ {
+		covered := false
+		for _, c := range p.Constraints {
+			if c.Coeffs[j] > 0 {
+				covered = true
+			}
+		}
+		if !covered {
+			row := make([]float64, n)
+			row[j] = 1
+			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 5})
+		}
+	}
+	return p
+}
+
+// randomMixedProblem minimises or maximises over a random mix of ≤, ≥
+// and = rows, with x_j ≤ 8 on every variable so that only infeasibility,
+// not unboundedness, can end a run early.
+func randomMixedProblem(rng *rand.Rand) *Problem {
+	n := 1 + rng.Intn(6)
+	m := 1 + rng.Intn(7)
+	p := &Problem{Obj: make([]float64, n), Minimize: rng.Intn(2) == 0}
+	for j := range p.Obj {
+		p.Obj[j] = float64(rng.Intn(9) + 1)
+	}
+	for i := 0; i < m; i++ {
+		rel := LE
+		switch rng.Intn(4) {
+		case 0:
+			rel = GE
+		case 1:
+			rel = EQ
+		}
+		p.Constraints = append(p.Constraints, Constraint{
+			Coeffs: randomRow(rng, n), Rel: rel, RHS: float64(rng.Intn(10) + 1),
+		})
+	}
+	for j := 0; j < n; j++ {
+		row := make([]float64, n)
+		row[j] = 1
+		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 8})
+	}
+	return p
 }
 
 func ratSlice(xs []float64) []*big.Rat {

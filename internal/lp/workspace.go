@@ -344,8 +344,8 @@ func (w *Workspace) dualsFromTableau(gen uint64, minimize bool) []float64 {
 	// their surviving slack column's reduced cost. The multipliers are
 	// reported against the rows *as staged*: a row buildTableau flipped to
 	// make its rhs nonnegative has the dual of the negated row, so the
-	// normalised read is negated back — the revised solver's convention,
-	// and the one under which Σ y·rhs equals the objective value.
+	// normalised read is negated back — the convention under which
+	// Σ y·rhs equals the objective value.
 	slack := t.nVars
 	for r := 0; r < len(w.rels); r++ {
 		pl := w.plans[r]

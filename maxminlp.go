@@ -25,10 +25,10 @@
 //     queries, and re-solves incrementally after weight updates
 //     (NewSolver, Solver.UpdateWeights); cmd/mmlpd serves sessions over
 //     HTTP,
-//   - a synchronous message-passing simulator with sequential,
-//     goroutine-per-agent and sharded worker-pool engines, all
-//     bit-identical (NewNetwork, SafeProtocol, AverageProtocol,
-//     Network.RunSharded),
+//   - a synchronous message-passing simulator whose engines —
+//     sequential reference, sharded worker pool, partitioned members,
+//     self-stabilising — are all bit-identical in their outputs
+//     (NewNetwork, SafeProtocol, AverageProtocol, NewEngine, Engines),
 //   - the flat CSR incidence index and precomputed ball views the
 //     engines iterate (NewCSR, Graph.CSR, Graph.BallIndex),
 //   - the Theorem-1 adversarial construction and its proof checker
@@ -142,8 +142,8 @@ type (
 	StabilizingRun = dist.StabilizingRun
 	// StabNodeHandle lets fault injectors corrupt node state.
 	StabNodeHandle = dist.StabNodeHandle
-	// Engine is a named protocol-execution engine from the registry; all
-	// engines produce bit-identical outputs (NewEngine, Engines).
+	// Engine is a named protocol-execution engine (NewEngine, Engines);
+	// all engines produce bit-identical outputs.
 	Engine = dist.Engine
 	// EngineOptions tunes engine construction (shard count, stabilising
 	// round budget); the zero value picks sensible defaults.
@@ -207,29 +207,11 @@ func NewGraph(in *Instance, opt GraphOptions) *Graph {
 // OptimalResult is the centralised LP optimum of an instance.
 type OptimalResult = lp.MaxMinResult
 
-// Backend selects the simplex implementation for SolveOptimalWith.
-type Backend = lp.Backend
-
-// Simplex backends.
-const (
-	// BackendDense is the reference tableau simplex.
-	BackendDense = lp.BackendDense
-	// BackendRevised is the revised simplex (sparse columns, explicit
-	// basis inverse), an independent second implementation; it is slower
-	// than BackendDense on every torus BenchmarkLPBackends measures.
-	BackendRevised = lp.BackendRevised
-)
-
 // SolveOptimal computes the global optimum of the max-min LP with the
 // built-in simplex solver (Section 1.3 formulation). It is the ground
 // truth that local algorithms are measured against; it is not itself a
 // local algorithm.
 func SolveOptimal(in *Instance) (OptimalResult, error) { return lp.SolveMaxMin(in) }
-
-// SolveOptimalWith is SolveOptimal with an explicit simplex backend.
-func SolveOptimalWith(in *Instance, backend Backend) (OptimalResult, error) {
-	return lp.SolveMaxMinWith(in, backend)
-}
 
 // Safe computes the safe solution x_v = min_{i∈Iv} 1/(a_iv·|Vi|)
 // (equation (2)), a local ΔVI-approximation with horizon 1.
@@ -383,14 +365,14 @@ func Certificate(in *Instance, g *Graph, radius int) (partyBound, resourceBound 
 // distributed execution.
 func NewNetwork(in *Instance, g *Graph) (*Network, error) { return dist.NewNetwork(in, g) }
 
-// NewEngine constructs a registered protocol-execution engine by name
-// ("sequential", "goroutines", "sharded", "partitioned", "stabilizing").
-// Every engine produces bit-identical solution vectors; they differ only
-// in scheduling and in whether their cost accounting is exact
-// (Engine.CostExact).
+// NewEngine constructs a protocol-execution engine by name
+// ("sequential", "sharded", "partitioned", "stabilizing"); it is the one
+// way to run a protocol on a Network. Every engine produces
+// bit-identical solution vectors; they differ only in scheduling and in
+// whether their cost accounting is exact (Engine.CostExact).
 func NewEngine(name string, opt EngineOptions) (Engine, error) { return dist.New(name, opt) }
 
-// Engines lists the registered engine names, sorted.
+// Engines lists the engine names NewEngine accepts, sorted.
 func Engines() []string { return dist.Engines() }
 
 // BuildLowerBound instantiates the Theorem-1 adversarial construction.

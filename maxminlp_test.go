@@ -51,6 +51,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// runEngine runs p on nw under the named engine with the given shard
+// count.
+func runEngine(t *testing.T, nw *maxminlp.Network, name string, shards int, p maxminlp.Protocol) *maxminlp.Trace {
+	t.Helper()
+	eng, err := maxminlp.NewEngine(name, maxminlp.EngineOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := eng.Run(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestPublicAPIDistributed(t *testing.T) {
 	in, _ := maxminlp.Torus([]int{5, 5}, maxminlp.LatticeOptions{})
 	g := maxminlp.NewGraph(in, maxminlp.GraphOptions{})
@@ -58,10 +73,7 @@ func TestPublicAPIDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := nw.RunGoroutines(maxminlp.AverageProtocol{Radius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runEngine(t, nw, "sharded", 0, maxminlp.AverageProtocol{Radius: 1})
 	want, err := maxminlp.LocalAverage(in, g, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -169,14 +181,8 @@ func TestPublicAPICSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := nw.RunSequential(maxminlp.AverageProtocol{Radius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := nw.RunSharded(maxminlp.AverageProtocol{Radius: 1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runEngine(t, nw, "sequential", 0, maxminlp.AverageProtocol{Radius: 1})
+	sh := runEngine(t, nw, "sharded", 4, maxminlp.AverageProtocol{Radius: 1})
 	for v := range seq.X {
 		if sh.X[v] != seq.X[v] {
 			t.Fatalf("sharded engine diverged at %d", v)
@@ -262,10 +268,7 @@ func TestPublicAPISession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := nw.RunSequential(maxminlp.AverageProtocol{Radius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runEngine(t, nw, "sequential", 0, maxminlp.AverageProtocol{Radius: 1})
 	for v := range tr.X {
 		if tr.X[v] != inc.X[v] {
 			t.Fatalf("distributed X[%d] = %v, want %v", v, tr.X[v], inc.X[v])
@@ -331,10 +334,7 @@ func TestPublicAPITopology(t *testing.T) {
 	if err := nw.Resync(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := nw.RunSequential(maxminlp.AverageProtocol{Radius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runEngine(t, nw, "sequential", 0, maxminlp.AverageProtocol{Radius: 1})
 	for v := range tr.X {
 		if tr.X[v] != inc.X[v] {
 			t.Fatalf("distributed post-churn X[%d] = %v, want %v", v, tr.X[v], inc.X[v])
@@ -376,9 +376,7 @@ func TestPublicAPIObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.SetObs(dm)
-	if _, err := nw.RunGoroutines(maxminlp.AverageProtocol{Radius: 1}); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, nw, "sharded", 0, maxminlp.AverageProtocol{Radius: 1})
 	if dm.Rounds.Value() == 0 || dm.Messages.Value() == 0 {
 		t.Fatalf("dist metrics empty: rounds=%d messages=%d", dm.Rounds.Value(), dm.Messages.Value())
 	}
