@@ -52,63 +52,75 @@ func TestSolveMaxMinNoParties(t *testing.T) {
 	}
 }
 
-// TestSolveMaxMinRatAgreesWithFloat checks SolveMaxMin against the exact
-// SolveMaxMinRat on random ring instances in two families: dyadic
-// resource coefficients with unit-coefficient parties, and arbitrary
-// float coefficients on both resources and parties.
 func TestSolveMaxMinRatAgreesWithFloat(t *testing.T) {
-	unit := func(*rand.Rand) float64 { return 1 }
-	dyadic := func(rng *rand.Rand) float64 { return float64(1+rng.Intn(3)) / 2 }
-	uniform := func(rng *rand.Rand) float64 { return 0.5 + rng.Float64() }
-	families := []struct {
-		name            string
-		seed            int64
-		trials          int
-		maxAgents       int
-		resource, party func(*rand.Rand) float64
-		partyAgents     int
-	}{
-		{"dyadic", 20, 15, 6, dyadic, unit, 1},
-		{"non-uniform parties", 55, 12, 8, uniform, uniform, 2},
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 15; trial++ {
+		b := mmlp.NewBuilder(0)
+		n := 2 + rng.Intn(6)
+		agents := make([]int, n)
+		for i := range agents {
+			agents[i] = b.AddAgent()
+		}
+		for i := 0; i < n; i++ {
+			j := (i + 1) % n
+			b.AddResource(
+				mmlp.Entry{Agent: agents[i], Coeff: float64(1+rng.Intn(3)) / 2},
+				mmlp.Entry{Agent: agents[j], Coeff: float64(1+rng.Intn(3)) / 2},
+			)
+		}
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			b.AddUniformParty(1, agents[rng.Intn(n)])
+		}
+		in := b.MustBuild()
+		fres, err := SolveMaxMin(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rres, err := SolveMaxMinRat(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, _ := rres.Omega.Float64()
+		approx(t, fres.Omega, exact, 1e-6, "float vs exact ω")
 	}
-	for _, fam := range families {
-		rng := rand.New(rand.NewSource(fam.seed))
-		for trial := 0; trial < fam.trials; trial++ {
-			b := mmlp.NewBuilder(0)
-			n := 2 + rng.Intn(fam.maxAgents)
-			agents := make([]int, n)
-			for i := range agents {
-				agents[i] = b.AddAgent()
-			}
-			for i := 0; i < n; i++ {
-				j := (i + 1) % n
-				b.AddResource(
-					mmlp.Entry{Agent: agents[i], Coeff: fam.resource(rng)},
-					mmlp.Entry{Agent: agents[j], Coeff: fam.resource(rng)},
-				)
-			}
-			for k := 0; k < 1+rng.Intn(3); k++ {
-				first := rng.Intn(n)
-				var row []mmlp.Entry
-				for j := 0; j < fam.partyAgents && j < n; j++ {
-					row = append(row, mmlp.Entry{Agent: agents[(first+j)%n], Coeff: fam.party(rng)})
-				}
-				b.AddParty(row...)
-			}
-			in := b.MustBuild()
-			fres, err := SolveMaxMin(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rres, err := SolveMaxMinRat(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, _ := rres.Omega.Float64()
-			approx(t, fres.Omega, exact, 1e-6*(1+exact), fam.name+": float vs exact ω")
-			if v := in.Violation(fres.X); v > 1e-9 {
-				t.Fatalf("%s trial %d: float optimum infeasible by %v", fam.name, trial, v)
-			}
+}
+
+// TestBisectionTriangulatesSimplex checks SolveMaxMin on random rings
+// with non-uniform resource and party coefficients. The name dates from
+// when the reference was a bisection solver; the reference is now the
+// exact SolveMaxMinRat.
+func TestBisectionTriangulatesSimplex(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 12; trial++ {
+		b := mmlp.NewBuilder(0)
+		n := 2 + rng.Intn(8)
+		for i := 0; i < n; i++ {
+			b.AddAgent()
+		}
+		for i := 0; i < n; i++ {
+			b.AddResource(
+				mmlp.Entry{Agent: i, Coeff: 0.5 + rng.Float64()},
+				mmlp.Entry{Agent: (i + 1) % n, Coeff: 0.5 + rng.Float64()},
+			)
+		}
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			b.AddParty(mmlp.Entry{Agent: rng.Intn(n), Coeff: 0.5 + rng.Float64()})
+		}
+		in := b.MustBuild()
+		simplex, err := SolveMaxMin(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rres, err := SolveMaxMinRat(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, _ := rres.Omega.Float64()
+		if math.Abs(simplex.Omega-exact) > 1e-6*(1+exact) {
+			t.Fatalf("trial %d: simplex ω = %v, exact ω = %v", trial, simplex.Omega, exact)
+		}
+		if v := in.Violation(simplex.X); v > 1e-9 {
+			t.Fatalf("trial %d: simplex point infeasible: %v", trial, v)
 		}
 	}
 }
