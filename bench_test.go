@@ -745,3 +745,47 @@ func BenchmarkSessionTopology(b *testing.B) {
 		b.ReportMetric(float64(st.AgentsResolved-warm.AgentsResolved)/float64(b.N), "resolved/op")
 	})
 }
+
+// BenchmarkSessionTopologyScale measures UpdateTopology alone as the
+// instance grows: unit tori of 24×24 and 96×96 agents at R=1 and R=2,
+// each op toggling one support entry of resource 0 on a session that has
+// solved the radius (the re-solve between ops runs with the timer
+// stopped). structural-rows/op counts the certificate rows a patch
+// re-derives; it depends only on the toggled edge's neighbourhood, so CI
+// requires it to be no larger at 96×96 than at 24×24. us/op still grows
+// with n: the patched instance, CSR, graph and ball-index arena are
+// copied whole.
+func BenchmarkSessionTopologyScale(b *testing.B) {
+	for _, side := range []int{24, 96} {
+		in, _ := gen.Torus([]int{side, side}, gen.LatticeOptions{})
+		agent := in.Resource(0)[0].Agent
+		for _, radius := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%d/R=%d", side, side, radius), func(b *testing.B) {
+				sess := maxminlp.NewSolver(in, maxminlp.GraphOptions{})
+				if _, err := sess.LocalAverage(radius); err != nil {
+					b.Fatal(err)
+				}
+				warm := sess.Stats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op := maxminlp.RemoveResourceEdge(0, agent)
+					if i%2 == 1 {
+						op = maxminlp.AddResourceEdge(0, agent, 1)
+					}
+					if _, err := sess.UpdateTopology([]maxminlp.TopoUpdate{op}); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if _, err := sess.LocalAverage(radius); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+				b.ReportMetric(float64(sess.Stats().StructuralRows-warm.StructuralRows)/float64(b.N), "structural-rows/op")
+			})
+		}
+	}
+}

@@ -244,25 +244,17 @@ func localAverage(in *mmlp.Instance, g *hypergraph.Graph, radius int, opt Averag
 		}
 	}
 
-	// Per-resource quantities N_i = |U_i| and n_i = min |V^j| (Figure 2).
-	resourceRatio, resourceBound := resourceRatiosFlat(csr, bi)
-	res.ResourceBound = resourceBound
+	// Per-row certificate quantities: n_i/N_i with N_i = |U_i| and n_i =
+	// min |V^j| (Figure 2), and M_k/m_k with m_k = |S_k| = |∩_{j∈Vk} V^j|,
+	// M_k = max |V^j| — the same rows a Solver session retains.
+	cert := newCertRows(csr, bi, NewCertScratch(csr))
+	res.PartyBound, res.ResourceBound = cert.bounds()
 
 	// β_j and the combined solution x̃ (equation (10)).
 	for j := 0; j < n; j++ {
-		beta := 1.0
-		for _, i := range csr.AgentResources(j) {
-			beta = min(beta, resourceRatio[i])
-		}
-		res.Beta[j] = beta
-		res.X[j] = beta / float64(bi.Size(j)) * sums[j]
+		res.Beta[j] = betaOf(csr, cert.resRatio, j)
+		res.X[j] = res.Beta[j] / float64(bi.Size(j)) * sums[j]
 	}
-
-	// Per-party certificate m_k = |S_k| = |∩_{j∈Vk} V^j|, M_k = max |V^j|.
-	// (m_k = 0 — hence an infinite bound — is only possible at R = 0 with
-	// |Vk| > 1: for R ≥ 1 the members of a hyperedge are mutually
-	// adjacent, so S_k ⊇ Vk.)
-	res.PartyBound = partyBoundFlat(csr, bi)
 	return res, nil
 }
 

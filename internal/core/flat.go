@@ -82,23 +82,25 @@ type localSolver struct {
 }
 
 func newLocalSolver(csr *hypergraph.CSR) *localSolver {
-	s := &localSolver{
-		csr:      csr,
-		ws:       lp.NewWorkspace(),
-		localIdx: make([]int32, csr.NumAgents()),
-		resMark:  make([]int32, csr.NumResources()),
-		parMark:  make([]int32, csr.NumParties()),
-	}
-	for i := range s.localIdx {
-		s.localIdx[i] = -1
-	}
-	for i := range s.resMark {
-		s.resMark[i] = -1
-	}
-	for i := range s.parMark {
-		s.parMark[i] = -1
-	}
+	s := &localSolver{ws: lp.NewWorkspace()}
+	s.bind(csr)
 	return s
+}
+
+// bind points the solver at csr — a pooled solver outlives the CSR it
+// was built for, since weight updates clone the coefficient arrays and
+// topology updates patch the index. Agents and rows only ever join, so
+// rebinding only grows the index and stamp arrays with −1 slots (outside
+// every ball, never stamped); the LP workspace is kept. A solver already
+// bound to csr pays one pointer compare.
+func (s *localSolver) bind(csr *hypergraph.CSR) {
+	if s.csr == csr {
+		return
+	}
+	s.csr = csr
+	s.localIdx = growUnset(s.localIdx, csr.NumAgents())
+	s.resMark = growUnset(s.resMark, csr.NumResources())
+	s.parMark = growUnset(s.parMark, csr.NumParties())
 }
 
 // enter installs the ball's local indexing and collects I^u (resources
@@ -459,123 +461,191 @@ func (s *localSolver) assembleAndSolve(ball []int32) ([]float64, float64, int, e
 	return sol.X[:nLoc], sol.Value, sol.Pivots, nil
 }
 
-// CertScratch is the reusable state of certificate computation: the
-// epoch-stamped union-dedup array and the per-resource ratio buffer.
-// Reusing one scratch across calls (the Solver session does, per query)
-// removes the two O(n)+O(|I|) allocations of every Certificate call.
-// Not safe for concurrent use.
+// CertScratch is the reusable state of certificate computation: one
+// epoch stamp and one hit count per agent, with which each row's union
+// U_i and intersection S_k are counted rather than materialised. A
+// Solver session keeps one for its lifetime, growing it as agents join,
+// so no query or topology patch allocates it again. Not safe for
+// concurrent use.
 type CertScratch struct {
-	mark   []int32
-	epoch  int32
-	ratios []float64
+	mark  []int32
+	count []int32
+	epoch int32
+
+	// resMark/parMark stamp the rows a session's topology patch reaches
+	// (Solver.patchStructural).
+	resMark, parMark []int32
 }
 
 // NewCertScratch returns a scratch sized for the instance behind csr.
 func NewCertScratch(csr *hypergraph.CSR) *CertScratch {
-	scr := &CertScratch{
-		mark:   make([]int32, csr.NumAgents()),
-		ratios: make([]float64, csr.NumResources()),
-	}
-	for i := range scr.mark {
-		scr.mark[i] = -1
-	}
+	scr := &CertScratch{}
+	scr.grow(csr.NumAgents())
 	return scr
 }
 
-// resourceRatios computes n_i/N_i per resource (into scr.ratios) and
-// returns max_i N_i/n_i, deduplicating each union U_i with one epoch
-// stamp per resource instead of a map. The counts — and hence every
-// float — are identical to the reference implementation.
-func (scr *CertScratch) resourceRatios(csr *hypergraph.CSR, bi *hypergraph.BallIndex) (resourceBound float64) {
-	resourceBound = 1
-	for i := 0; i < csr.NumResources(); i++ {
-		if csr.ResourceDegree(i) == 0 {
-			// Dead resource (its whole support left through topology
-			// updates): it constrains nothing and no live agent reads its
-			// ratio.
-			scr.ratios[i] = 0
-			continue
-		}
-		if scr.epoch == math.MaxInt32 {
-			for j := range scr.mark {
-				scr.mark[j] = -1
-			}
-			scr.epoch = 0
-		}
-		scr.epoch++
-		Ni, ni := 0, math.MaxInt
-		for _, j := range csr.ResourceAgents(i) {
-			ball := bi.Ball(int(j))
-			for _, w := range ball {
-				if scr.mark[w] != scr.epoch {
-					scr.mark[w] = scr.epoch
-					Ni++
-				}
-			}
-			if len(ball) < ni {
-				ni = len(ball)
-			}
-		}
-		scr.ratios[i] = float64(ni) / float64(Ni)
-		resourceBound = max(resourceBound, float64(Ni)/float64(ni))
+// grow extends the scratch to n agents; topology updates only ever add
+// agents, and a new slot starts unstamped.
+func (scr *CertScratch) grow(n int) {
+	scr.mark = growUnset(scr.mark, n)
+	if d := n - len(scr.count); d > 0 {
+		scr.count = append(scr.count, make([]int32, d)...)
 	}
-	return resourceBound
+}
+
+// next starts a fresh stamp epoch, clearing the stamps when the epoch
+// counter would wrap.
+func (scr *CertScratch) next() int32 {
+	if scr.epoch == math.MaxInt32 {
+		for _, xs := range [][]int32{scr.mark, scr.resMark, scr.parMark} {
+			for j := range xs {
+				xs[j] = -1
+			}
+		}
+		scr.epoch = 0
+	}
+	scr.epoch++
+	return scr.epoch
+}
+
+// growUnset extends xs to n slots, each new slot −1: the unset value of
+// both the epoch stamps (epochs start at 1) and localSolver.localIdx.
+func growUnset(xs []int32, n int) []int32 {
+	for len(xs) < n {
+		xs = append(xs, -1)
+	}
+	return xs
+}
+
+// resourceRow returns n_i/N_i and N_i/n_i for resource i, where N_i =
+// |U_i| = |∪_{j∈V_i} B(j)| and n_i = min_{j∈V_i} |B(j)| (Figure 2). A
+// dead resource (its whole support left through topology updates)
+// constrains nothing and no live agent reads its ratio: it returns
+// (0, 1), 1 being neutral in the bound's max fold.
+func (scr *CertScratch) resourceRow(csr *hypergraph.CSR, bi *hypergraph.BallIndex, i int) (ratio, inv float64) {
+	if csr.ResourceDegree(i) == 0 {
+		return 0, 1
+	}
+	e := scr.next()
+	Ni, ni := 0, math.MaxInt
+	for _, j := range csr.ResourceAgents(i) {
+		ball := bi.Ball(int(j))
+		for _, w := range ball {
+			if scr.mark[w] != e {
+				scr.mark[w] = e
+				Ni++
+			}
+		}
+		ni = min(ni, len(ball))
+	}
+	return float64(ni) / float64(Ni), float64(Ni) / float64(ni)
+}
+
+// partyRow returns M_k/m_k for party k, where m_k = |S_k| = |∩_{j∈V_k}
+// B(j)| and M_k = max_{j∈V_k} |B(j)|. m_k is counted with stamps: the
+// first member's ball is stamped with count 1, every later member's ball
+// raises the count of the stamped agents it contains, and S_k is the set
+// whose count reaches |V_k| (members are distinct, balls duplicate-free).
+// +Inf when S_k is empty — possible only at radius 0 with |V_k| > 1, as
+// for R ≥ 1 the members of a hyperedge are mutually adjacent, so S_k ⊇
+// V_k. A dead party demands nothing and returns the neutral 1.
+func (scr *CertScratch) partyRow(csr *hypergraph.CSR, bi *hypergraph.BallIndex, k int) float64 {
+	members := csr.PartyAgents(k)
+	if len(members) == 0 {
+		return 1
+	}
+	e := scr.next()
+	first := bi.Ball(int(members[0]))
+	for _, w := range first {
+		scr.mark[w] = e
+		scr.count[w] = 1
+	}
+	Mk := len(first)
+	for _, j := range members[1:] {
+		ball := bi.Ball(int(j))
+		Mk = max(Mk, len(ball))
+		for _, w := range ball {
+			if scr.mark[w] == e {
+				scr.count[w]++
+			}
+		}
+	}
+	mk := 0
+	for _, w := range first {
+		if scr.count[w] == int32(len(members)) {
+			mk++
+		}
+	}
+	if mk == 0 {
+		return math.Inf(1)
+	}
+	return float64(Mk) / float64(mk)
+}
+
+// certRows is the Theorem-3 certificate of one radius kept per row, so
+// a topology patch can re-derive just the rows whose balls it moved:
+// every row depends only on its own support and its members' balls.
+type certRows struct {
+	resRatio []float64 // n_i/N_i per resource (β reads it)
+	resInv   []float64 // N_i/n_i per resource
+	parRatio []float64 // M_k/m_k per party
+}
+
+// newCertRows computes every row from scratch.
+func newCertRows(csr *hypergraph.CSR, bi *hypergraph.BallIndex, scr *CertScratch) *certRows {
+	c := &certRows{}
+	c.grow(csr.NumResources(), csr.NumParties())
+	for i := range c.resRatio {
+		c.resRatio[i], c.resInv[i] = scr.resourceRow(csr, bi, i)
+	}
+	for k := range c.parRatio {
+		c.parRatio[k] = scr.partyRow(csr, bi, k)
+	}
+	return c
+}
+
+// grow extends the rows to nRes resources and nPar parties; the new
+// rows hold zeros until their caller computes them.
+func (c *certRows) grow(nRes, nPar int) {
+	if d := nRes - len(c.resRatio); d > 0 {
+		c.resRatio = append(c.resRatio, make([]float64, d)...)
+		c.resInv = append(c.resInv, make([]float64, d)...)
+	}
+	if d := nPar - len(c.parRatio); d > 0 {
+		c.parRatio = append(c.parRatio, make([]float64, d)...)
+	}
+}
+
+// bounds folds the rows into (max_k M_k/m_k, max_i N_i/n_i), each at
+// least 1. max is exact and order-independent, so the fold of rows kept
+// across patches is bit-identical to a cold computation.
+func (c *certRows) bounds() (partyBound, resourceBound float64) {
+	partyBound, resourceBound = 1, 1
+	for _, r := range c.parRatio {
+		partyBound = max(partyBound, r)
+	}
+	for _, r := range c.resInv {
+		resourceBound = max(resourceBound, r)
+	}
+	return partyBound, resourceBound
+}
+
+// betaOf returns β_j = min(1, min_{i∈I_j} n_i/N_i), the combination
+// weight of equation (10).
+func betaOf(csr *hypergraph.CSR, resRatio []float64, j int) float64 {
+	beta := 1.0
+	for _, i := range csr.AgentResources(j) {
+		beta = min(beta, resRatio[i])
+	}
+	return beta
 }
 
 // CertificateWith computes the Theorem-3 certificate (max_k M_k/m_k,
-// max_i N_i/n_i) over a prebuilt ball index with reusable scratch — the
-// allocation-free variant of Certificate the Solver session runs.
-// Results are bit-identical to Certificate.
+// max_i N_i/n_i) over a prebuilt ball index with reusable scratch.
+// Results are bit-identical to Certificate and to the Solver session's
+// retained bounds, which fold the same per-row values.
 func CertificateWith(csr *hypergraph.CSR, bi *hypergraph.BallIndex, scr *CertScratch) (partyBound, resourceBound float64) {
-	resourceBound = scr.resourceRatios(csr, bi)
-	return partyBoundFlat(csr, bi), resourceBound
-}
-
-// resourceRatiosFlat computes n_i/N_i per resource and max_i N_i/n_i from
-// the precomputed ball index with throwaway scratch.
-func resourceRatiosFlat(csr *hypergraph.CSR, bi *hypergraph.BallIndex) (ratios []float64, resourceBound float64) {
-	scr := NewCertScratch(csr)
-	resourceBound = scr.resourceRatios(csr, bi)
-	return scr.ratios, resourceBound
-}
-
-// partyBoundFlat computes max_k M_k/m_k from the ball index: m_k by
-// counting the members of the first agent's ball contained in every other
-// member's sorted ball (binary search — supports are small), M_k as the
-// largest ball size. +Inf when some S_k is empty (possible only at radius
-// 0 with |Vk| > 1).
-func partyBoundFlat(csr *hypergraph.CSR, bi *hypergraph.BallIndex) float64 {
-	bound := 1.0
-	for k := 0; k < csr.NumParties(); k++ {
-		members := csr.PartyAgents(k)
-		if len(members) == 0 {
-			// Dead party (see ApplyTopo): demands nothing, bounds nothing.
-			continue
-		}
-		mk, Mk := 0, 0
-		first := int(members[0])
-		for _, w := range bi.Ball(first) {
-			inAll := true
-			for _, other := range members[1:] {
-				if !bi.Contains(int(other), w) {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				mk++
-			}
-		}
-		for _, m := range members {
-			Mk = max(Mk, bi.Size(int(m)))
-		}
-		if mk == 0 {
-			bound = math.Inf(1)
-			continue
-		}
-		bound = max(bound, float64(Mk)/float64(mk))
-	}
-	return bound
+	return newCertRows(csr, bi, scr).bounds()
 }
 
 // SafeFlat is Safe over a prebuilt CSR index: the same min_{i∈Iv}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"maxminlp/internal/hypergraph"
 	"maxminlp/internal/mmlp"
@@ -37,7 +38,8 @@ import (
 // goroutines internally). The ball-structure quantities — ball indexes,
 // certificates, β weights — survive weight updates unchanged, because
 // weight updates cannot change the communication hypergraph; topology
-// updates recompute them from the patched structures.
+// updates re-derive only the rows and β weights their patched balls
+// reach.
 type Solver struct {
 	mu sync.Mutex
 
@@ -54,8 +56,10 @@ type Solver struct {
 	// AverageOptions.Presolve); toggled by SetPresolve.
 	presolve bool
 	cache    *SolveCache
-	pool     *sync.Pool // of *localSolver bound to the current csr
+	pool     *sync.Pool // of *localSolver, rebound to csr on every Get
 	scratch  *CertScratch
+	// solverBuilds counts the local solvers the pool has constructed.
+	solverBuilds atomic.Int64
 
 	balls  map[int]*hypergraph.BallIndex
 	states map[int]*radiusState
@@ -103,6 +107,11 @@ type SolverStats struct {
 	AgentsAdded    int
 	AgentsRemoved  int
 	BallsPatched   int
+	// StructuralRows counts the resource and party rows whose
+	// certificate quantities the patches re-derived, summed over radii:
+	// the rows named by a patch plus the rows incident to a patched
+	// ball. It depends on the patch's neighbourhood, not on n.
+	StructuralRows int
 	// CacheEntries and CacheHits snapshot the shared solve cache.
 	CacheEntries int
 	CacheHits    int
@@ -113,11 +122,12 @@ type SolverStats struct {
 }
 
 // radiusState is everything the session retains about one radius. The
-// structural part (certificate bounds, β, ball sizes) depends only on
-// the hypergraph and survives weight updates; the solve part (per-agent
-// entries, running sums, the combined solution) is what UpdateWeights
-// invalidates agent-by-agent.
+// structural part (per-row certificate quantities and their bounds, β,
+// ball sizes) depends only on the hypergraph and survives weight
+// updates; the solve part (per-agent entries, running sums, the combined
+// solution) is what UpdateWeights invalidates agent-by-agent.
 type radiusState struct {
+	cert          *certRows
 	partyBound    float64
 	resourceBound float64
 	beta          []float64
@@ -130,11 +140,10 @@ type radiusState struct {
 	dirty  []bool
 	nDirty int
 
-	// topoDirty marks that a structural update changed the ball
-	// structure: β and the certificate bounds were recomputed, and the
-	// next solve must refresh BallSize and the full combination (10)
-	// instead of only the coordinates the dirty balls cover.
-	topoDirty bool
+	// pendingBeta lists the coordinates whose β structural updates
+	// changed: the next solve replays (10) for them from the retained
+	// sums, beside the coordinates the dirty balls cover.
+	pendingBeta []int32
 	// pendingAffected accumulates, across structural updates, the agents
 	// whose running sums must be replayed because a (possibly former)
 	// member of their ball changed — including members that left, which
@@ -190,19 +199,30 @@ func NewSolverFromGraph(in *mmlp.Instance, g *hypergraph.Graph) *Solver {
 	return s
 }
 
-// resetPool rebinds the pooled local solvers to the current csr (and the
-// current LP metrics); called at construction, when copy-on-write
-// replaces the csr, and when SetObs changes the metrics binding.
+// resetPool replaces the pool of local solvers, binding new ones to the
+// current LP metrics and presolve setting; called at construction, when
+// SetObs changes the metrics binding and when SetPresolve toggles. A
+// change of csr — copy-on-write after a hand-out, or a topology patch —
+// keeps the pool: getSolver rebinds each solver it takes out.
 func (s *Solver) resetPool() {
 	csr, lpm := s.csr, s.obsM.LPBundle()
 	presolve, drops := s.presolve, s.obsM.PresolveDroppedCounter()
 	s.pool = &sync.Pool{New: func() any {
+		s.solverBuilds.Add(1)
 		ls := newLocalSolver(csr)
 		ls.ws.SetMetrics(lpm)
 		ls.presolve = presolve
 		ls.dropCounter = drops
 		return ls
 	}}
+}
+
+// getSolver takes a local solver out of the pool, bound to csr (the
+// session's current index, read by the caller under s.mu).
+func (s *Solver) getSolver(csr *hypergraph.CSR) *localSolver {
+	ls := s.pool.Get().(*localSolver)
+	ls.bind(csr)
+	return ls
 }
 
 // SetObs attaches (or, with nil, detaches) solve-pipeline metrics: phase
@@ -263,7 +283,7 @@ func (s *Solver) SetPresolve(on bool) {
 		st.sums = nil
 		st.dirty = nil
 		st.nDirty = 0
-		st.topoDirty = false
+		st.pendingBeta = nil
 		st.pendingAffected = nil
 	}
 	s.publishCache()
@@ -418,22 +438,100 @@ func (s *Solver) state(radius int) *radiusState {
 }
 
 // computeStructural fills the ball-structure quantities of one radius
-// state — certificate bounds and β — from the current csr and ball
-// index. It runs at state creation and again after every topology
-// update (the only mutation that can change them).
+// state — the per-row certificate, its bounds and β — from the current
+// csr and ball index, at state creation. Topology updates, the only
+// mutation that can change them, re-derive just the rows they reach
+// (patchStructural).
 func (s *Solver) computeStructural(st *radiusState, bi *hypergraph.BallIndex) {
 	csr := s.csr
-	st.resourceBound = s.scratch.resourceRatios(csr, bi)
-	st.partyBound = partyBoundFlat(csr, bi)
+	st.cert = newCertRows(csr, bi, s.scratch)
+	st.partyBound, st.resourceBound = st.cert.bounds()
 	n := csr.NumAgents()
 	st.beta = make([]float64, n)
 	for j := 0; j < n; j++ {
-		beta := 1.0
-		for _, i := range csr.AgentResources(j) {
-			beta = min(beta, s.scratch.ratios[i])
-		}
-		st.beta[j] = beta
+		st.beta[j] = betaOf(csr, st.cert.resRatio, j)
 	}
+}
+
+// patchStructural brings one radius state's structural quantities up to
+// date after a topology patch, re-deriving only what the patch can have
+// moved. A resource row's n_i/N_i and a party row's M_k/m_k depend on
+// the row's support and its members' balls alone, so only these rows
+// can change: the rows the diff names (a new row among them, its support
+// having changed from empty) and the rows incident to an agent in dirty
+// — the patched balls, a superset of the balls that changed. β_j depends on I_j and its rows' ratios, so it is
+// recomputed for the members of the re-derived resources and the touched
+// agents (a superset of the agents whose I_j changed, new agents
+// included). The bounds are refolded over the per-row values; max is
+// exact and order-independent, so the result is bit-identical to a cold
+// computation. It returns the agents whose β changed.
+func (s *Solver) patchStructural(st *radiusState, bi *hypergraph.BallIndex, d *mmlp.TopoDiff, dirty []int32) (betaChanged []int32) {
+	csr, scr, c := s.csr, s.scratch, st.cert
+	c.grow(csr.NumResources(), csr.NumParties())
+	scr.resMark = growUnset(scr.resMark, csr.NumResources())
+	scr.parMark = growUnset(scr.parMark, csr.NumParties())
+	e := scr.next()
+	var resRows, parRows []int32
+	addRes := func(i int) {
+		if scr.resMark[i] != e {
+			scr.resMark[i] = e
+			resRows = append(resRows, int32(i))
+		}
+	}
+	addPar := func(k int) {
+		if scr.parMark[k] != e {
+			scr.parMark[k] = e
+			parRows = append(parRows, int32(k))
+		}
+	}
+	for _, i := range d.ResRows {
+		addRes(i)
+	}
+	for _, k := range d.ParRows {
+		addPar(k)
+	}
+	for _, v := range dirty {
+		for _, i := range csr.AgentResources(int(v)) {
+			addRes(int(i))
+		}
+		for _, k := range csr.AgentParties(int(v)) {
+			addPar(int(k))
+		}
+	}
+	for _, i := range resRows {
+		c.resRatio[i], c.resInv[i] = scr.resourceRow(csr, bi, int(i))
+	}
+	for _, k := range parRows {
+		c.parRatio[k] = scr.partyRow(csr, bi, int(k))
+	}
+	s.stats.StructuralRows += len(resRows) + len(parRows)
+	st.partyBound, st.resourceBound = c.bounds()
+
+	oldN := len(st.beta)
+	if grown := csr.NumAgents() - oldN; grown > 0 {
+		st.beta = append(st.beta, make([]float64, grown)...)
+	}
+	e = scr.next()
+	visit := func(j int) {
+		if scr.mark[j] == e {
+			return
+		}
+		scr.mark[j] = e
+		b := betaOf(csr, c.resRatio, j)
+		if j >= oldN || b != st.beta[j] {
+			st.beta[j] = b
+			betaChanged = append(betaChanged, int32(j))
+		}
+	}
+	for _, i := range resRows {
+		for _, j := range csr.ResourceAgents(int(i)) {
+			visit(int(j))
+		}
+	}
+	for _, t := range d.Touched {
+		visit(t)
+	}
+	return betaChanged
 }
 
 // Safe computes the safe solution of equation (2) over the session's
@@ -580,6 +678,7 @@ func (s *Solver) solveFull(radius int, st *radiusState) error {
 // addends — so the updated result is bit-identical to a cold solve of
 // the mutated instance.
 func (s *Solver) solveIncremental(radius int, st *radiusState) error {
+	csr := s.csr
 	bi := s.ballIndex(radius)
 	n := len(st.dirty)
 	dirty := make([]int, 0, st.nDirty)
@@ -612,7 +711,7 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 		}
 	}
 	if err := runSteal(nd, s.workers, fpCosts, s.obsM, func(di int) error {
-		ls := s.pool.Get().(*localSolver)
+		ls := s.getSolver(csr)
 		defer s.pool.Put(ls)
 		keys[di], hashes[di], trivial[di] = ls.fingerprint(bi.Ball(dirty[di]))
 		return nil
@@ -683,7 +782,7 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 		if gEntry[gi] != nil {
 			return nil
 		}
-		ls := s.pool.Get().(*localSolver)
+		ls := s.getSolver(csr)
 		defer s.pool.Put(ls)
 		u := dirty[reps[gi]]
 		xu, omega, p, err := ls.solve(bi.Ball(u))
@@ -777,15 +876,14 @@ func (s *Solver) solveIncremental(radius int, st *radiusState) error {
 		st.sums[j] = sum
 		res.X[j] = st.beta[j] / float64(bi.Size(j)) * sum
 	}
-	if st.topoDirty {
-		// β may have changed anywhere (it is a global min over ratios),
-		// so replay the combination (10) for every coordinate from the
-		// retained sums — the exact final loop of the cold path.
-		for j := range res.X {
-			res.X[j] = st.beta[j] / float64(bi.Size(j)) * st.sums[j]
-		}
-		st.topoDirty = false
+	// Coordinates whose β a structural update changed replay (10) from
+	// their retained sums — the cold path's final expression. A
+	// coordinate whose ball size changed has a patched ball, so it is
+	// among the affected ones above.
+	for _, j := range st.pendingBeta {
+		res.X[j] = st.beta[j] / float64(bi.Size(int(j))) * st.sums[j]
 	}
+	st.pendingBeta = nil
 
 	for _, u := range dirty {
 		st.dirty[u] = false
@@ -884,12 +982,11 @@ func (s *Solver) UpdateWeights(deltas []WeightDelta) error {
 		return err
 	}
 
-	// Copy-on-write the CSR coefficient arrays once per session, then
-	// patch in place; pooled solvers are rebound to the new csr.
+	// Copy-on-write the CSR coefficient arrays once per hand-out, then
+	// patch in place; pooled solvers rebind to the clone when taken out.
 	if !s.csrOwned {
 		s.csr = s.csr.CloneCoeffs()
 		s.csrOwned = true
-		s.resetPool()
 	}
 	for _, d := range deltas {
 		var err error
@@ -951,7 +1048,9 @@ func (s *Solver) UpdateWeights(deltas []WeightDelta) error {
 // solution are all unchanged. The next LocalAverage call re-fingerprints
 // only the invalidated agents and replays the cold accumulation order
 // for the coordinates their old and new balls cover, so results are
-// bit-identical to a cold solve of the mutated instance.
+// bit-identical to a cold solve of the mutated instance. The certificate
+// rows and β weights are re-derived only where the patched balls reach
+// (see patchStructural), and the pooled local solvers are kept.
 //
 // Validation is atomic: an invalid op rejects the whole batch with no
 // state change. The returned diff names what changed (added/removed
@@ -992,13 +1091,13 @@ func (s *Solver) UpdateTopology(ups []mmlp.TopoUpdate) (*mmlp.TopoDiff, error) {
 	// CloneCoeffs before patching in place, exactly like the first
 	// update after construction.
 	s.csrOwned = false
-	s.scratch = NewCertScratch(newCSR)
-	s.resetPool()
-
 	n := newCSR.NumAgents()
+	s.scratch.grow(n)
+
 	for radius, st := range s.states {
 		bi := s.balls[radius]
-		s.computeStructural(st, bi)
+		p := patches[radius]
+		betaChanged := s.patchStructural(st, bi, d, p.dirty)
 		if st.res == nil {
 			continue
 		}
@@ -1012,20 +1111,19 @@ func (s *Solver) UpdateTopology(ups []mmlp.TopoUpdate) (*mmlp.TopoDiff, error) {
 			st.entries = append(st.entries, make([]*cacheEntry, grown)...)
 			st.dirty = append(st.dirty, make([]bool, grown)...)
 		}
-		copy(res.Beta, st.beta)
-		for u := 0; u < n; u++ {
-			res.BallSize[u] = bi.Size(u)
+		for _, j := range betaChanged {
+			res.Beta[j] = st.beta[j]
 		}
 		res.PartyBound, res.ResourceBound = st.partyBound, st.resourceBound
-		p := patches[radius]
 		for _, u := range p.dirty {
+			res.BallSize[u] = bi.Size(int(u))
 			if !st.dirty[u] {
 				st.dirty[u] = true
 				st.nDirty++
 			}
 		}
 		st.pendingAffected = append(st.pendingAffected, p.affected...)
-		st.topoDirty = true
+		st.pendingBeta = append(st.pendingBeta, betaChanged...)
 	}
 	s.stats.TopoUpdates++
 	s.stats.TopoOpsApplied += len(ups)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -497,5 +499,52 @@ func TestSessionSnapshotMatchesFreeFunctions(t *testing.T) {
 		}
 		mirror = next
 		prev = check("after topology patch")
+	}
+}
+
+// TestSessionPatchesKeepPooledSolvers checks that patches keep the pooled
+// local solvers and their LP workspaces: a weight patch after a
+// Snapshot() hand-out clones the coefficients, and a topology patch
+// replaces the index, but neither drops the pool — the solvers rebind
+// when taken out. After the first pass, a loop of UpdateWeights +
+// Snapshot + LocalAverage, and of UpdateTopology + LocalAverage, builds
+// no local solver. The garbage collector is off and one P runs, so the
+// pool keeps every item it is given and hands it back.
+func TestSessionPatchesKeepPooledSolvers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(5))
+	in, _ := gen.Torus([]int{8, 8}, gen.LatticeOptions{RandomWeights: true, Rng: rng})
+	s := NewSolver(in, hypergraph.Options{})
+	s.SetWorkers(1)
+	if _, err := s.LocalAverage(2); err != nil {
+		t.Fatal(err)
+	}
+	var builds int64
+	for pass := 0; pass < 6; pass++ {
+		if err := s.UpdateWeights(randomDeltas(s.Instance(), rng, 1)); err != nil {
+			t.Fatal(err)
+		}
+		s.Snapshot()
+		if _, err := s.LocalAverage(2); err != nil {
+			t.Fatal(err)
+		}
+		if pass >= 3 {
+			ops, _ := gen.RandomTopoBatch(s.Instance(), rng, 2)
+			if _, err := s.UpdateTopology(ops); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.LocalAverage(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := s.solverBuilds.Load()
+		if pass > 0 && got != builds {
+			t.Fatalf("pass %d built %d local solvers; want 0 after the first pass", pass, got-builds)
+		}
+		builds = got
 	}
 }

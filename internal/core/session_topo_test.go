@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -402,4 +403,103 @@ func TestSessionTopologyThenWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAverageResult(t, "topo+weights", inc, ref)
+}
+
+// TestSessionTopologyTwoRadiiVsCold is the differential check at a size
+// where a patch's dirty balls cover only part of the instance, so a
+// structural row the patch moved but did not name — a row whose support
+// is unchanged while a member's ball grew or shrank — must still be
+// re-derived. The session keeps two radii, one solved and one
+// certificate-only, and after every interleaved topology or weight batch
+// both must equal a cold session bit for bit.
+func TestSessionTopologyTwoRadiiVsCold(t *testing.T) {
+	for _, radii := range [][2]int{{1, 2}, {2, 1}} {
+		solved, certOnly := radii[0], radii[1]
+		t.Run(fmt.Sprintf("solved R=%d cert R=%d", solved, certOnly), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(37 + solved)))
+			in, _ := gen.Torus([]int{12, 12}, gen.LatticeOptions{RandomWeights: true, Rng: rng})
+			s := NewSolverFromGraph(in, sessionGraph(in))
+			if _, err := s.LocalAverage(solved); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Certificate(certOnly); err != nil {
+				t.Fatal(err)
+			}
+			mirror := in
+			for batch := 0; batch < 12; batch++ {
+				if batch%3 != 2 {
+					ops, next := gen.RandomTopoBatch(mirror, rng, 1+rng.Intn(3))
+					if _, err := s.UpdateTopology(ops); err != nil {
+						t.Fatal(err)
+					}
+					mirror = next
+				} else {
+					deltas := randomChurnDeltas(mirror, rng, 1+rng.Intn(3))
+					if len(deltas) == 0 {
+						continue
+					}
+					if err := s.UpdateWeights(deltas); err != nil {
+						t.Fatal(err)
+					}
+					mirror = applyMirrorDeltas(t, mirror, deltas)
+				}
+				label := fmt.Sprintf("batch %d", batch)
+				cold := NewSolverFromGraph(mirror, sessionGraph(mirror))
+				for _, r := range []int{certOnly, solved} {
+					pb, rb, err := s.Certificate(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pbRef, rbRef, err := cold.Certificate(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pb != pbRef || rb != rbRef {
+						t.Fatalf("%s: R=%d certificate (%v,%v), want (%v,%v)", label, r, pb, rb, pbRef, rbRef)
+					}
+				}
+				inc, err := s.LocalAverage(solved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := cold.LocalAverage(solved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAverageResult(t, label, inc, ref)
+			}
+		})
+	}
+}
+
+// TestSessionTopologyStructuralRowsLocal is the locality oracle of the
+// structural patch: toggling one resource edge on a unit torus re-derives
+// the same number of certificate rows whatever the torus size, since the
+// rows a patch reaches lie within a ball of the toggled edge.
+func TestSessionTopologyStructuralRowsLocal(t *testing.T) {
+	for _, radius := range []int{1, 2} {
+		var counts []int
+		for _, side := range []int{24, 96} {
+			in, _ := gen.Torus([]int{side, side}, gen.LatticeOptions{})
+			s := NewSolverFromGraph(in, sessionGraph(in))
+			if _, err := s.LocalAverage(radius); err != nil {
+				t.Fatal(err)
+			}
+			agent := in.Resource(0)[0].Agent
+			before := s.Stats().StructuralRows
+			for _, op := range []mmlp.TopoUpdate{mmlp.RemoveResourceEdge(0, agent), mmlp.AddResourceEdge(0, agent, 1)} {
+				if _, err := s.UpdateTopology([]mmlp.TopoUpdate{op}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows := s.Stats().StructuralRows - before
+			if rows == 0 {
+				t.Fatalf("%d×%d R=%d: the toggle re-derived no rows", side, side, radius)
+			}
+			counts = append(counts, rows)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("R=%d: a one-edge toggle re-derived %d rows at 24×24 but %d at 96×96", radius, counts[0], counts[1])
+		}
+	}
 }

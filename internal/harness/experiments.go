@@ -766,8 +766,8 @@ func E15ChurnProfile(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
 		Title:   "Topology churn: incremental structural updates vs cold rebuild",
-		Columns: []string{"instance", "R", "agents", "rounds", "ops", "cold ms", "incr ms", "cold/incr", "re-solved", "balls patched", "bit-identical", "rebuilds"},
-		Note:    "ms columns are per-round averages; 're-solved' and 'balls patched' are totals across all rounds; 'rebuilds' counts CSR+ball-index builds after warm-up (must be 0)",
+		Columns: []string{"instance", "R", "agents", "rounds", "ops", "cold ms", "incr ms", "cold/incr", "re-solved", "balls patched", "rows re-derived", "bit-identical", "rebuilds"},
+		Note:    "ms columns are per-round averages; 're-solved', 'balls patched' and 'rows re-derived' (certificate rows of the structural patch) are totals across all rounds; 'rebuilds' counts CSR+ball-index builds after warm-up (must be 0)",
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tor, _ := gen.Torus([]int{16, 16}, gen.LatticeOptions{})
@@ -826,7 +826,7 @@ func E15ChurnProfile(seed int64) (*Table, error) {
 		rounds := float64(cse.rounds)
 		t.AddRow(cse.name, I(cse.radius), I(cse.in.NumAgents()), I(cse.rounds), I(cse.ops),
 			F(coldMS/rounds), F(incMS/rounds), F(coldMS/incMS),
-			I(st.AgentsResolved-warmStats.AgentsResolved), I(st.BallsPatched),
+			I(st.AgentsResolved-warmStats.AgentsResolved), I(st.BallsPatched), I(st.StructuralRows),
 			B(agree), I(st.CSRBuilds+st.BallIndexBuilds-warmStats.CSRBuilds-warmStats.BallIndexBuilds))
 	}
 	return t, nil
